@@ -232,8 +232,7 @@ def evaluate_cost(U, Y: SpaceTimeField, spec: ProblemSpec,
 
 
 def fixed_point_solve(spec: ProblemSpec, tgrid: TemporalGrid, xgrid: SpatialGrid,
-                      tol: float = 1e-13, max_iter: int = 200, theta: float = 1.0,
-                      coupling_mode: str = "auto"):
+                      tol: float = 1e-13, max_iter: int = 200, theta: float = 1.0):
     """Solve the discrete optimality system by projected fixed-point
     iteration: alternate state and co-state solves with the clamped
     co-state as the next control, optionally damped by theta.
@@ -247,7 +246,7 @@ def fixed_point_solve(spec: ProblemSpec, tgrid: TemporalGrid, xgrid: SpatialGrid
         raise ValueError(f"damping must lie in (0, 1], got {theta}")
     mass = assemble_mass(xgrid)
     stiffness = assemble_stiffness(xgrid)
-    B = assemble_coupling(tgrid, spec.alpha, mode=coupling_mode)
+    B = assemble_coupling(tgrid, spec.alpha)
     moments = source_moments(tgrid, spec.alpha)
     y0_proj = l2_project(xgrid, spec.y0)
 

@@ -10,6 +10,9 @@ Riemann-Liouville operators, to second differences of w(s) = max(s,0)^(1-a):
 
 This closed form is exact, lower triangular (indicators supported after slab
 k do not couple), costs O(M^2) in total, and needs no singular quadrature.
+Nothing is stored: `TemporalCouplingMatrix.block` evaluates w on the node
+rectangle of any panel of rows and columns and returns its second
+difference, so a solver holds one panel at a time, never the triangle.
 The quadrature oracle below integrates the half-derivative products directly
 and exists solely to certify the identity numerically.
 """
@@ -34,10 +37,6 @@ __all__ = [
     "source_moments",
 ]
 
-# beyond this many slabs the triangle is not stored; rows are rebuilt from
-# the closed form on demand to cap memory
-ON_DEMAND_THRESHOLD = 2 ** 12
-
 ORACLE_MAX_SLABS = 64
 ORACLE_ABS_TOL = 1e-10
 
@@ -46,100 +45,47 @@ class OracleToleranceError(RuntimeError):
     """Quadrature could not certify the requested absolute tolerance."""
 
 
-def _row(nodes: np.ndarray, exponent: float, inv_gamma: float, k: int) -> np.ndarray:
-    """Entries B[k][1..k] of row k (slabs are 1-indexed)."""
-    ak = np.zeros(k + 1)
-    ak[:k] = (nodes[k] - nodes[:k]) ** exponent
-    ak1 = np.zeros(k + 1)
-    if k >= 2:
-        ak1[: k - 1] = (nodes[k - 1] - nodes[: k - 1]) ** exponent
-    return (ak[:k] - ak[1 : k + 1] - ak1[:k] + ak1[1 : k + 1]) * inv_gamma
-
-
-@dataclass
+@dataclass(frozen=True)
 class TemporalCouplingMatrix:
-    """Lower-triangular coupling weights; stored packed or entry-on-demand.
+    """Lower-triangular coupling weights, generated from the closed form.
 
-    ``row(k)`` returns the k entries B[k][1..k].  Both modes evaluate the
-    same closed form, so their results are bit-identical.
+    Nothing is stored: ``block`` evaluates any rectangle of B on demand, so
+    a caller holds only the panel it is working on.
     """
 
     alpha: float
     grid: TemporalGrid
-    stored: bool
-    _buf: np.ndarray | None = field(default=None, repr=False)
-    _offsets: np.ndarray | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        self._exponent = 1.0 - self.alpha
-        self._inv_gamma = 1.0 / math.gamma(2.0 - self.alpha)
+    def block(self, k0: int, k1: int, j0: int, j1: int) -> np.ndarray:
+        """Rows k0..k1-1 and columns j0..j1-1 of B, slabs 0-indexed.
 
-    def row(self, k: int) -> np.ndarray:
-        if not 1 <= k <= self.grid.num_slabs:
-            raise IndexError(f"slab index {k} out of range")
-        if self.stored:
-            off = self._offsets[k - 1]
-            return self._buf[off : off + k]
-        return _row(self.grid.nodes, self._exponent, self._inv_gamma, k)
+        The second difference of W[a, b] = w(t_a - t_b) over the node
+        rectangle; entries above the diagonal come out exactly zero.
+        """
+        t = self.grid.nodes
+        W = np.maximum(t[k0 : k1 + 1, None] - t[None, j0 : j1 + 1], 0.0) ** (1.0 - self.alpha)
+        return (W[1:, :-1] - W[1:, 1:] - W[:-1, :-1] + W[:-1, 1:]) * (1.0 / math.gamma(2.0 - self.alpha))
 
     def entry(self, k: int, j: int) -> float:
-        if j > k:
-            return 0.0
-        return float(self.row(k)[j - 1])
-
-    def column_tail(self, j: int) -> np.ndarray:
-        """Entries B[j..2M][j], the column below and including the diagonal."""
+        """B[k][j], slabs 1-indexed."""
         K = self.grid.num_slabs
-        if self.stored:
-            return np.array([self._buf[self._offsets[k - 1] + j - 1] for k in range(j, K + 1)])
-        t = self.grid.nodes
-        e = self._exponent
-        ks = np.arange(j, K + 1)
-        w = lambda s: np.where(s > 0.0, s, 0.0) ** e
-        vals = (w(t[ks] - t[j - 1]) - w(t[ks] - t[j])
-                - w(t[ks - 1] - t[j - 1]) + w(t[ks - 1] - t[j]))
-        return vals * self._inv_gamma
+        if not (1 <= k <= K and 1 <= j <= K):
+            raise IndexError(f"slab indices ({k}, {j}) out of range")
+        return float(self.block(k - 1, k, j - 1, j)[0, 0])
 
     def dense(self) -> np.ndarray:
         K = self.grid.num_slabs
-        B = np.zeros((K, K))
-        for k in range(1, K + 1):
-            B[k - 1, :k] = self.row(k)
-        return B
+        return self.block(0, K, 0, K)
 
     def row_sums(self) -> np.ndarray:
-        return np.array([self.row(k).sum() for k in range(1, self.grid.num_slabs + 1)])
-
-    def dump_triangle(self, path) -> None:
-        """Debug dump: packed triangle, row-major, little-endian float64."""
-        with open(path, "wb") as fh:
-            for k in range(1, self.grid.num_slabs + 1):
-                fh.write(np.ascontiguousarray(self.row(k), dtype="<f8").tobytes())
+        return self.dense().sum(axis=1)
 
 
-def assemble_coupling(grid: TemporalGrid, alpha: float, mode: str = "auto") -> TemporalCouplingMatrix:
-    """Assemble the coupling weights for the given grid and order.
-
-    mode: "stored" packs the lower triangle (2M(2M+1)/2 floats), "ondemand"
-    recomputes rows per access, "auto" stores up to 2M = 4096 slabs.
-    """
+def assemble_coupling(grid: TemporalGrid, alpha: float) -> TemporalCouplingMatrix:
+    """The coupling weights for the given grid and order."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    if mode not in ("auto", "stored", "ondemand"):
-        raise ValueError(f"unknown mode {mode!r}")
-    K = grid.num_slabs
-    stored = mode == "stored" or (mode == "auto" and K <= ON_DEMAND_THRESHOLD)
-    mat = TemporalCouplingMatrix(alpha=float(alpha), grid=grid, stored=stored)
-    if stored:
-        offsets = (np.arange(K, dtype=np.int64) * np.arange(1, K + 1, dtype=np.int64)) // 2
-        buf = np.empty(K * (K + 1) // 2)
-        e = 1.0 - alpha
-        inv_g = 1.0 / math.gamma(2.0 - alpha)
-        for k in range(1, K + 1):
-            buf[offsets[k - 1] : offsets[k - 1] + k] = _row(grid.nodes, e, inv_g, k)
-        mat._buf = buf
-        mat._offsets = offsets
-    return mat
+    return TemporalCouplingMatrix(alpha=float(alpha), grid=grid)
 
 
 @dataclass(frozen=True)

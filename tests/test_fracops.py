@@ -151,37 +151,22 @@ def test_backward_difference_limit():
         assert abs(B.entry(k, k - 1) + 1.0) < 1e-2
 
 
-def test_stored_and_ondemand_identical():
-    g = build_graded(128, 3.0, 1.0, 1.0)  # 2M = 2^8
-    Bs = assemble_coupling(g, 0.4, mode="stored")
-    Bo = assemble_coupling(g, 0.4, mode="ondemand")
-    assert Bs.stored and not Bo.stored
-    for k in range(1, 257):
-        assert np.array_equal(Bs.row(k), Bo.row(k))
-    for j in range(1, 257, 17):
-        assert np.array_equal(Bs.column_tail(j), Bo.column_tail(j))
-
-
-def test_auto_mode_threshold():
-    assert assemble_coupling(build_graded(8, 1.0, 1.0, 1.0), 0.5).stored
-    g_big = build_graded(4096, 1.0, 1.0, 1.0)  # 2M = 8192 > 2^12
-    assert not assemble_coupling(g_big, 0.5).stored
-
-
-def test_binary_dump_round_trip(tmp_path):
-    g = build_graded(4, 2.0, 1.5, 1.0)
-    B = assemble_coupling(g, 0.7)
-    path = tmp_path / "triangle.bin"
-    B.dump_triangle(path)
-    flat = np.fromfile(path, dtype="<f8")
-    assert flat.size == 8 * 9 // 2
-    dense = B.dense()
-    packed = np.concatenate([dense[k - 1, :k] for k in range(1, 9)])
-    assert np.array_equal(flat, packed)
+def test_block_slices_of_dense():
+    g = build_graded(20, 3.0, 1.2, 1.0)  # 2M = 40
+    B = assemble_coupling(g, 0.4)
+    D = B.dense()
+    K = 40
+    for k0, k1, j0, j1 in ((0, 40, 0, 40), (5, 17, 0, 17), (17, 33, 3, 29),
+                           (0, 8, 20, 40), (39, 40, 0, 40), (12, 13, 12, 13)):
+        assert np.array_equal(B.block(k0, k1, j0, j1), D[k0:k1, j0:j1])
+    # the panel the adjoint march uses: rows k0..k1-1 of the time-reversed
+    # transpose, columns 0..k1-1
+    Dr = D[::-1, ::-1].T
+    for k0, k1 in ((0, 16), (16, 32), (32, 40)):
+        panel = B.block(K - k1, K, K - k1, K - k0)[::-1, ::-1].T
+        assert np.array_equal(panel, Dr[k0:k1, :k1])
 
 
 def test_assemble_rejects_bad_alpha():
     with pytest.raises(ValueError):
         assemble_coupling(uniform_grid(2), 1.0)
-    with pytest.raises(ValueError):
-        assemble_coupling(uniform_grid(2), 0.5, mode="mystery")

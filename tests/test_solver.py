@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from fracctrl.fem import assemble_mass, assemble_stiffness, l2_project, load_descriptor
+from fracctrl.fem import (TriDiagonalOperator, assemble_mass, assemble_stiffness,
+                          l2_project, load_descriptor)
 from fracctrl.fracops import assemble_coupling, source_moments
 from fracctrl.harness import forward_single_mode_error
 from fracctrl.mesh import build_graded, build_uniform_spatial
 from fracctrl.problem import PowerLaw
-from fracctrl.solver import (SourceTerm, SpaceTimeField, adjoint_source,
+from fracctrl.solver import (PANEL, SourceTerm, SpaceTimeField, adjoint_source,
                              apply_adjoint, apply_forward,
                              check_adjoint_identity, export_field_csv,
                              field_inner, state_source)
@@ -195,7 +196,49 @@ def test_csv_export(tmp_path, small_setup, rng):
 
 def test_grid_mismatch_rejected(small_setup, rng):
     tg, xg, B, mass, stiff = small_setup
-    other = build_graded(4, 1.0, 1.0, 1.0)
-    src = SourceTerm(other, xg, rng.standard_normal((8, 15)))
+    # a different slab count, and the same 2M on uniform instead of graded
+    # nodes: node arrays are compared, not slab counts
+    for other in (build_graded(4, 1.0, 1.0, 1.0), build_graded(8, 1.0, 1.0, 1.0)):
+        src = SourceTerm(other, xg, rng.standard_normal((other.num_slabs, 15)))
+        with pytest.raises(ValueError):
+            apply_forward(B, mass, stiff, src)
+        with pytest.raises(ValueError):
+            apply_adjoint(B, mass, stiff, src)
+
+
+def test_march_rejects_non_toeplitz_operators(small_setup, rng):
+    tg, xg, B, mass, stiff = small_setup
+    src = SourceTerm(tg, xg, rng.standard_normal((16, 15)))
+    diag = mass.diag.copy()
+    diag[3] *= 1.5
+    bumped_diag = TriDiagonalOperator(sub=mass.sub, diag=diag, sup=mass.sup)
+    sup = stiff.sup.copy()
+    sup[0] *= 0.5
+    bumped_sup = TriDiagonalOperator(sub=sup, diag=stiff.diag, sup=sup)
     with pytest.raises(ValueError):
-        apply_forward(B, mass, stiff, src)
+        apply_forward(B, bumped_diag, stiff, src)
+    with pytest.raises(ValueError):
+        apply_adjoint(B, mass, bumped_sup, src)
+
+
+def _dense(op):
+    return np.diag(op.diag) + np.diag(op.sup, 1) + np.diag(op.sub, -1)
+
+
+def test_marches_against_dense_space_time_solve(rng):
+    # kron(B, M) + kron(diag(tau), A) assembled densely; 160 slabs cross
+    # two panel boundaries
+    tg = build_graded(80, 2.0, 1.2, 1.0)
+    xg = build_uniform_spatial(6)
+    K, m = 160, 5
+    assert 2 * PANEL < K
+    B = assemble_coupling(tg, 0.6)
+    mass, stiff = assemble_mass(xg), assemble_stiffness(xg)
+    S = np.kron(B.dense(), _dense(mass)) + np.kron(np.diag(tg.widths), _dense(stiff))
+    src = rng.standard_normal((K, m))
+    Y = apply_forward(B, mass, stiff, SourceTerm(tg, xg, src)).values
+    P = apply_adjoint(B, mass, stiff, SourceTerm(tg, xg, src)).values
+    Y_ref = np.linalg.solve(S, src.ravel()).reshape(K, m)
+    P_ref = np.linalg.solve(S.T, src.ravel()).reshape(K, m)
+    assert np.linalg.norm(Y - Y_ref) <= 1e-12 * np.linalg.norm(Y_ref)
+    assert np.linalg.norm(P - P_ref) <= 1e-12 * np.linalg.norm(P_ref)
