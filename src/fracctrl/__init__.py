@@ -5,12 +5,11 @@ box-constrained control, and a fixed-point optimizer, together with a
 convergence-study harness."""
 
 from .control import (ControlField, CostReport, FixedPointDiverged,
-                      blend_controls, clamp_scalar, control_loads,
-                      evaluate_cost, fixed_point_solve, optimality_residual,
-                      project_admissible)
+                      blend_controls, control_loads, evaluate_cost,
+                      fixed_point_solve, optimality_residual, project_admissible)
 from .fem import (NodalFunction, TriDiagonalOperator, assemble_mass,
-                  assemble_stiffness, cross_grid_l2, l2_project,
-                  load_descriptor, load_powerlaw, solve_tridiagonal)
+                  assemble_stiffness, l2_project, load_descriptor,
+                  load_powerlaw, solve_tridiagonal)
 from .fracops import (KernelMoments, OracleToleranceError,
                       TemporalCouplingMatrix, assemble_coupling,
                       half_derivative_oracle, source_moments)

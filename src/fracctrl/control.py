@@ -4,30 +4,30 @@ The control is never a mesh function: it is the pointwise projection of
 -P/nu onto the admissible box, which on each spatial element is a clamped
 linear function.  Each slab therefore carries an exact piecewise-linear
 description whose breakpoints are the element nodes plus the abscissae
-where -P/nu crosses a bound.  All inner products against the control
-(loads, norms, errors) integrate this description exactly: the scheme has
-no consistency error beyond the discretization itself.
+where -P/nu crosses a bound; one flat layout holds all slabs.  All inner
+products (loads, norms, errors) integrate this description exactly: the
+scheme has no consistency error beyond the discretization itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .fem import TriDiagonalOperator, assemble_mass, assemble_stiffness, l2_project, load_descriptor
 from .fracops import assemble_coupling, source_moments
-from .mesh import SpatialGrid, TemporalGrid, merge_breakpoints
+from .mesh import MERGE_RTOL, SpatialGrid, TemporalGrid
 from .problem import ProblemSpec
-from .solver import (SpaceTimeField, adjoint_source, apply_adjoint,
-                     apply_forward, state_source)
+from .solver import (PANEL, SpaceTimeField, _check_grids, adjoint_source,
+                     apply_adjoint, apply_forward, state_source)
 
 __all__ = [
     "ControlField",
     "CostReport",
     "FixedPointDiverged",
-    "clamp_scalar",
     "project_admissible",
     "control_loads",
     "blend_controls",
@@ -55,20 +55,26 @@ class FixedPointDiverged(RuntimeError):
             f"too small for plain iteration, retry with damping theta < 1")
 
 
-def clamp_scalar(v: float, nu: float, u_lo: float, u_hi: float) -> float:
-    """Pointwise optimality map: u_hi below -nu*u_hi, -v/nu inside,
-    u_lo above -nu*u_lo."""
-    return min(max(-v / nu, u_lo), u_hi)
+def _slab_ids(offsets: np.ndarray, k0: int, k1: int) -> np.ndarray:
+    """0-based slab index of every breakpoint of slabs k0..k1-1."""
+    return np.repeat(np.arange(k0, k1), np.diff(offsets[k0:k1 + 1]))
+
+
+def _keys(k, x) -> np.ndarray:
+    """Exact (slab, x) keys; numpy sorts complex numbers lexicographically."""
+    z = np.empty(np.broadcast(k, x).shape, dtype=complex)
+    z.real, z.imag = k, x
+    return z
 
 
 @dataclass(frozen=True)
 class ControlField:
-    """Slabwise exact piecewise-linear control.
+    """Slabwise exact piecewise-linear control in one flat layout.
 
-    ``pieces[k]`` is the pair (breakpoints, values) on slab k+1 with
-    breakpoints covering [0, 1] and containing every element node and every
-    bound crossing.  ``node_samples`` are the interior nodal values used by
-    the fixed-point stopping rule.
+    Slab k+1 has breakpoints ``x[offsets[k]:offsets[k+1]]`` covering [0, 1]
+    and containing every element node and every bound crossing, with values
+    ``v`` at the same positions.  ``node_samples`` are the interior nodal
+    values used by the fixed-point stopping rule.
     """
 
     tgrid: TemporalGrid
@@ -76,76 +82,89 @@ class ControlField:
     nu: float
     u_lo: float
     u_hi: float
-    pieces: tuple = field(repr=False)
+    x: np.ndarray = field(repr=False)
+    v: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
     node_samples: np.ndarray = field(repr=False)
-    costate: SpaceTimeField | None = field(default=None, repr=False)
+
+    @cached_property
+    def pieces(self) -> tuple:
+        """Per-slab (breakpoints, values) views of the flat layout."""
+        cuts = self.offsets[1:-1]
+        return tuple(zip(np.split(self.x, cuts), np.split(self.v, cuts)))
 
     def evaluate(self, k: int, x) -> np.ndarray:
         """Values of slab k (1-indexed) at abscissae x."""
-        xs, vs = self.pieces[k - 1]
-        return np.interp(np.asarray(x, dtype=float), xs, vs)
+        if not 1 <= k <= self.tgrid.num_slabs:
+            raise ValueError(f"slab index must lie in 1..{self.tgrid.num_slabs}, got {k}")
+        return self._values_at(k - 1, x)
 
     def spatial_loads(self) -> np.ndarray:
         return control_loads(self, self.xgrid)
 
     def norm_l2l2_sq(self) -> float:
         """Exact squared norm over space-time (quadratic per piece)."""
-        total = 0.0
-        for k, (xs, vs) in enumerate(self.pieces):
-            w = np.diff(xs)
-            vl, vr = vs[:-1], vs[1:]
-            total += self.tgrid.widths[k] * float(
-                np.sum(w * (vl * vl + vl * vr + vr * vr)) / 3.0)
-        return total
+        return sum(float((self.tgrid.widths[slab] * (q - p)) @ (vp * vp + vp * vq + vq * vq))
+                   for slab, p, q, vp, vq in _block_pieces(self)) / 3.0
 
     def sample_lattice(self, ts, xs) -> np.ndarray:
         """Values on a (t, x) lattice; piecewise constant in t."""
-        ts = np.asarray(ts, dtype=float)
-        xs = np.asarray(xs, dtype=float)
-        ks = np.clip(np.searchsorted(self.tgrid.nodes, ts, side="right") - 1,
-                     0, self.tgrid.num_slabs - 1)
-        out = np.empty((ts.size, xs.size))
-        for row, k in enumerate(ks):
-            out[row] = self.evaluate(int(k) + 1, xs)
-        return out
+        ks = np.searchsorted(self.tgrid.nodes, ts, side="right") - 1
+        return self._values_at(np.clip(ks, 0, self.tgrid.num_slabs - 1)[:, None], xs)
+
+    def _values_at(self, k, x) -> np.ndarray:
+        """np.interp of slab k+1 at x for broadcast arrays k (0-based) and x."""
+        k, x = np.broadcast_arrays(np.asarray(k), np.asarray(x, dtype=float))
+        off = self.offsets
+        k0, k1 = int(k.min()), int(k.max()) + 1
+        keys = _keys(_slab_ids(off, k0, k1), self.x[off[k0]:off[k1]])
+        j = np.searchsorted(keys, _keys(k, x), side="right") - 1 + off[k0]
+        j = np.clip(j, off[k], off[k + 1] - 2)  # left end of a piece of slab k
+        xl, xr, vl, vr = self.x[j], self.x[j + 1], self.v[j], self.v[j + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inside = (vr - vl) / (xr - xl) * (x - xl) + vl
+        return np.where(x >= xr, vr, np.where(x <= xl, vl, inside))
+
+
+def _block_pieces(U: ControlField):
+    """(slab, p, q, vp, vq) of every positive-width piece, PANEL slabs at a
+    time; the width filter also drops the seam where x falls from 1 to 0."""
+    K, off = U.tgrid.num_slabs, U.offsets
+    for k0 in range(0, K, PANEL):
+        k1 = min(k0 + PANEL, K)
+        x, v = U.x[off[k0]:off[k1]], U.v[off[k0]:off[k1]]
+        keep = x[1:] > x[:-1]
+        yield (_slab_ids(off, k0, k1)[:-1][keep], x[:-1][keep], x[1:][keep],
+               v[:-1][keep], v[1:][keep])
 
 
 def _constant_control(tgrid: TemporalGrid, xgrid: SpatialGrid, nu: float,
                       u_lo: float, u_hi: float, value: float) -> ControlField:
-    xs = xgrid.nodes.copy()
-    vs = np.full(xgrid.n + 1, value)
-    pieces = tuple((xs, vs) for _ in range(tgrid.num_slabs))
-    samples = np.full((tgrid.num_slabs, xgrid.num_interior), value)
-    return ControlField(tgrid, xgrid, nu, u_lo, u_hi, pieces, samples)
+    K, n = tgrid.num_slabs, xgrid.n
+    return ControlField(tgrid, xgrid, nu, u_lo, u_hi, np.tile(xgrid.nodes, K),
+                        np.full(K * (n + 1), value), np.arange(K + 1) * (n + 1),
+                        np.full((K, xgrid.num_interior), value))
 
 
 def project_admissible(P: SpaceTimeField, nu: float, u_lo: float, u_hi: float) -> ControlField:
     """U = clamp(-P/nu) with exact bound-crossing abscissae per element."""
     if not u_lo < u_hi:
         raise ValueError(f"bounds must satisfy u_lo < u_hi, got ({u_lo}, {u_hi})")
-    tg, xg = P.tgrid, P.xgrid
-    nodes = xg.nodes
-    h = xg.h
-    pieces = []
-    for k in range(tg.num_slabs):
-        w = np.zeros(xg.n + 1)
-        w[1:-1] = -P.values[k] / nu
-        d = np.diff(w)
-        extra = []
-        for b in (u_lo, u_hi):
-            if not math.isfinite(b):
-                continue
-            mask = (w[:-1] - b) * (w[1:] - b) < 0.0
-            if np.any(mask):
-                extra.append(nodes[:-1][mask] + h * (b - w[:-1][mask]) / d[mask])
-        if extra:
-            xs = np.sort(np.concatenate([nodes] + extra))
-        else:
-            xs = nodes
-        vs = np.clip(np.interp(xs, nodes, w), u_lo, u_hi)
-        pieces.append((xs, vs))
-    samples = np.clip(-P.values / nu, u_lo, u_hi)
-    return ControlField(tg, xg, nu, u_lo, u_hi, tuple(pieces), samples, costate=P)
+    xg, K, n = P.xgrid, P.tgrid.num_slabs, P.xgrid.n
+    w = np.pad(-P.values / nu, ((0, 0), (1, 1)))  # with the Dirichlet nodes
+    at, cx, cv = [], [], []
+    for b in (u_lo, u_hi):  # an infinite bound has no sign change
+        ks, es = np.nonzero((w[:, :-1] - b) * (w[:, 1:] - b) < 0.0)
+        at.append(ks * (n + 1) + es + 1)  # right after the element's left node
+        cx.append(xg.nodes[es] + xg.h * (b - w[ks, es]) / (w[ks, es + 1] - w[ks, es]))
+        cv.append(np.full(ks.size, b))
+    at, cx, cv = map(np.concatenate, (at, cx, cv))
+    order = np.lexsort((cx, at))  # both crossings of one element in x order
+    x = np.insert(np.tile(xg.nodes, K), at[order], cx[order])
+    np.clip(w, u_lo, u_hi, out=w)
+    v = np.insert(w.ravel(), at[order], cv[order])
+    offsets = np.concatenate(([0], np.cumsum(n + 1 + np.bincount(at // (n + 1), minlength=K))))
+    return ControlField(P.tgrid, xg, nu, u_lo, u_hi, x, v, offsets, w[:, 1:-1])
 
 
 def control_loads(U: ControlField, grid: SpatialGrid) -> np.ndarray:
@@ -157,41 +176,38 @@ def control_loads(U: ControlField, grid: SpatialGrid) -> np.ndarray:
     if grid.n != U.xgrid.n:
         raise ValueError("grid mismatch between control and load request")
     n, h = grid.n, grid.h
-    out = np.zeros((U.tgrid.num_slabs, n - 1))
-    for k, (xs, vs) in enumerate(U.pieces):
-        p, q = xs[:-1], xs[1:]
-        keep = q > p
-        p, q = p[keep], q[keep]
-        vp, vq = vs[:-1][keep], vs[1:][keep]
+    out = np.zeros(U.tgrid.num_slabs * (n + 1))  # every node, boundary included
+    for slab, p, q, vp, vq in _block_pieces(U):
         mid = 0.5 * (p + q)
         half = 0.5 * (q - p)
         e = np.clip((mid / h).astype(int), 0, n - 1)
         xl = grid.nodes[e]
-        row = out[k]
+        left = slab * (n + 1) + e  # flat index of the element's left node
         for off in (-_INV_SQRT3, _INV_SQRT3):
             xg_ = mid + off * half
             ug = vp + (vq - vp) * (0.5 + 0.5 * off)
             rising = (xg_ - xl) / h
             contrib = half * ug  # Gauss weight = half per point
-            right = e <= n - 2
-            np.add.at(row, e[right], (contrib * rising)[right])
-            left = e >= 1
-            np.add.at(row, e[left] - 1, (contrib * (1.0 - rising))[left])
-    return out
+            np.add.at(out, left + 1, contrib * rising)
+            np.add.at(out, left, contrib * (1.0 - rising))
+    return out.reshape(-1, n + 1)[:, 1:-1]
 
 
 def blend_controls(a: ControlField, b: ControlField, wa: float, wb: float) -> ControlField:
-    """wa*a + wb*b with merged breakpoints; exact for convex damping steps."""
-    if a.tgrid.num_slabs != b.tgrid.num_slabs or a.xgrid.n != b.xgrid.n:
-        raise ValueError("cannot blend controls on different grids")
-    pieces = []
-    for (xa, va), (xb, vb) in zip(a.pieces, b.pieces):
-        xs = merge_breakpoints(xa, xb)
-        vs = wa * np.interp(xs, xa, va) + wb * np.interp(xs, xb, vb)
-        pieces.append((xs, vs))
-    samples = wa * a.node_samples + wb * b.node_samples
-    return ControlField(a.tgrid, a.xgrid, a.nu, a.u_lo, a.u_hi,
-                        tuple(pieces), samples)
+    """wa*a + wb*b with breakpoints merged per slab as merge_breakpoints
+    does (span 1); exact for convex damping steps."""
+    _check_grids(a, b)
+    K = a.tgrid.num_slabs
+    keys = np.sort(np.concatenate([_keys(_slab_ids(a.offsets, 0, K), a.x),
+                                   _keys(_slab_ids(b.offsets, 0, K), b.x)]))
+    keys = keys[(np.diff(keys.real, prepend=-1) != 0)
+                | (np.diff(keys.imag, prepend=-1) > MERGE_RTOL)]
+    slab, x = keys.real.astype(int), keys.imag.copy()
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(slab, minlength=K))))
+    x[offsets[1:] - 1] = a.xgrid.nodes[-1]  # each right endpoint stays exact
+    return ControlField(a.tgrid, a.xgrid, a.nu, a.u_lo, a.u_hi, x,
+                        wa * a._values_at(slab, x) + wb * b._values_at(slab, x), offsets,
+                        wa * a.node_samples + wb * b.node_samples)
 
 
 @dataclass(frozen=True)
@@ -294,13 +310,14 @@ def optimality_residual(U: ControlField, Y: SpaceTimeField, P: SpaceTimeField,
     """
     xg = P.xgrid
     sub = np.linspace(0.0, 1.0, points_per_element + 1)[:-1]
-    dense = (xg.nodes[:-1, None] + xg.h * sub[None, :]).ravel()
-    dense = np.append(dense, 1.0)
+    dense = np.append((xg.nodes[:-1, None] + xg.h * sub[None, :]).ravel(), 1.0)
+    e = np.minimum(np.arange(dense.size) // points_per_element, xg.n - 1)
+    lam = (dense - xg.nodes[e]) / xg.h
+    w = np.pad(-P.values / spec.nu, ((0, 0), (1, 1)))
     worst = 0.0
-    for k in range(P.tgrid.num_slabs):
-        w = np.zeros(xg.n + 1)
-        w[1:-1] = -P.values[k] / spec.nu
-        target = np.clip(np.interp(dense, xg.nodes, w), spec.u_lo, spec.u_hi)
-        got = U.evaluate(k + 1, dense)
+    for k0 in range(0, P.tgrid.num_slabs, PANEL):
+        wk = w[k0:k0 + PANEL]
+        target = np.clip(wk[:, e] + (wk[:, e + 1] - wk[:, e]) * lam, spec.u_lo, spec.u_hi)
+        got = U._values_at(np.arange(k0, k0 + wk.shape[0])[:, None], dense)
         worst = max(worst, float(np.max(np.abs(got - target))))
     return worst

@@ -27,7 +27,6 @@ __all__ = [
     "load_descriptor",
     "l2_project",
     "solve_tridiagonal",
-    "cross_grid_l2",
     "pwl_l2_diff_sq",
 ]
 
@@ -62,9 +61,6 @@ class TriDiagonalOperator:
             out[:, 1:] += self.sub * v[:, :-1]
         return out
 
-    def quadratic_form(self, v: np.ndarray) -> float:
-        return float(v @ self.apply(v))
-
 
 @dataclass(frozen=True)
 class NodalFunction:
@@ -72,11 +68,6 @@ class NodalFunction:
 
     grid: SpatialGrid
     coeffs: np.ndarray = field(repr=False)
-
-    def with_boundary(self) -> np.ndarray:
-        v = np.zeros(self.grid.n + 1)
-        v[1:-1] = self.coeffs
-        return v
 
 
 def assemble_mass(grid: SpatialGrid) -> TriDiagonalOperator:
@@ -183,9 +174,3 @@ def pwl_l2_diff_sq(xa: np.ndarray, va: np.ndarray, xb: np.ndarray, vb: np.ndarra
     dl, dr = da[:-1], da[1:]
     return float(np.sum(np.diff(xs) * (dl * dl + dl * dr + dr * dr)) / 3.0)
 
-
-def cross_grid_l2(fA: NodalFunction, fB: NodalFunction) -> float:
-    """Exact L2(0,1) distance between finite element functions living on
-    different uniform grids."""
-    return math.sqrt(max(0.0, pwl_l2_diff_sq(
-        fA.grid.nodes, fA.with_boundary(), fB.grid.nodes, fB.with_boundary())))

@@ -126,13 +126,11 @@ def error_l2l2(A, B) -> float:
 
     same_state_grid = (not isinstance(A, ControlField) and not isinstance(B, ControlField)
                        and A.xgrid.n == B.xgrid.n)
-    total = 0.0
     if same_state_grid:
-        mass = assemble_mass(A.xgrid)
-        for w, ia, ib in zip(widths, ka, kb):
-            d = A.values[ia] - B.values[ib]
-            total += w * float(d @ mass.apply(d))
+        d = A.values[ka] - B.values[kb]
+        total = float(np.einsum("k,ki,ki->", widths, d, assemble_mass(A.xgrid).apply(d)))
         return math.sqrt(max(0.0, total))
+    total = 0.0
     cache: dict[tuple[int, int], float] = {}
     for w, ia, ib in zip(widths, ka, kb):
         key = (int(ia), int(ib))

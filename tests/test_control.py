@@ -1,15 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from fracctrl.control import (FixedPointDiverged, blend_controls, clamp_scalar,
-                              control_loads, evaluate_cost, fixed_point_solve,
+from fracctrl.control import (FixedPointDiverged, blend_controls, control_loads,
+                              evaluate_cost, fixed_point_solve,
                               optimality_residual, project_admissible)
 from fracctrl.fem import assemble_mass
-from fracctrl.mesh import build_graded, build_uniform_spatial, default_sigmas
+from fracctrl.mesh import (build_graded, build_uniform_spatial, default_sigmas,
+                           merge_breakpoints)
 from fracctrl.problem import (ProblemSpec, SineCombo, TimeConstant, Zero,
                               default_experiment_spec)
 from fracctrl.solver import SpaceTimeField
@@ -21,23 +22,6 @@ def small_instance(alpha=0.8, r=0.0, m=5, n=16):
     tg = build_graded(2 ** m, s1, s2, 1.0)
     xg = build_uniform_spatial(n)
     return spec, tg, xg
-
-
-def test_clamp_branches():
-    assert clamp_scalar(0.5, 1.0, -0.1, 0.1) == -0.1
-    assert clamp_scalar(0.05, 1.0, -0.1, 0.1) == pytest.approx(-0.05)
-    assert clamp_scalar(-0.5, 1.0, -0.1, 0.1) == 0.1
-
-
-@given(v1=st.floats(-50, 50), v2=st.floats(-50, 50),
-       nu=st.floats(0.05, 10.0))
-def test_clamp_monotone_and_lipschitz(v1, v2, nu):
-    lo, hi = -0.3, 0.7
-    f1, f2 = clamp_scalar(v1, nu, lo, hi), clamp_scalar(v2, nu, lo, hi)
-    if v1 <= v2:
-        assert f1 >= f2 - 1e-15
-    assert abs(f1 - f2) <= abs(v1 - v2) / nu + 1e-15
-    assert lo <= f1 <= hi
 
 
 def test_projection_of_zero_costate():
@@ -137,6 +121,98 @@ def test_blend_is_convex_combination(rng):
         assert np.all(Uc.evaluate(k, xs) <= 0.1 + 1e-14)
 
 
+def test_blend_rejects_other_temporal_grid(rng):
+    # same slab count and spatial grid, but graded against uniform nodes
+    xg = build_uniform_spatial(8)
+    Us = [project_admissible(SpaceTimeField(tg, xg, rng.standard_normal((8, 7))),
+                             1.0, -0.1, 0.1)
+          for tg in (build_graded(4, 2.0, 1.0, 1.0), build_graded(4, 1.0, 1.0, 1.0))]
+    with pytest.raises(ValueError):
+        blend_controls(Us[0], Us[1], 0.5, 0.5)
+
+
+def flat_layout_instance(rng):
+    # 2M = 160 slabs: the blocked loops cross two block boundaries
+    tg = build_graded(80, 2.0, 1.0, 1.0)
+    xg = build_uniform_spatial(8)
+    Ua, Ub = (project_admissible(SpaceTimeField(tg, xg, 0.3 * rng.standard_normal((160, 7))),
+                                 1.0, -0.1, 0.1) for _ in range(2))
+    return tg, xg, Ua, Ub
+
+
+def simpson_pieces(xs, f):
+    """Simpson's rule on every interval of xs: exact for quadratics."""
+    a, b = xs[:-1], xs[1:]
+    return np.sum((b - a) / 6.0 * (f(a) + 4.0 * f(0.5 * (a + b)) + f(b)))
+
+
+def test_flat_layout_against_per_slab_reference(rng):
+    tg, xg, Ua, Ub = flat_layout_instance(rng)
+    loads = control_loads(Ua, xg)
+    norm = 0.0
+    for k in range(tg.num_slabs):
+        xs = np.linspace(0.0, 1.0, xg.n + 1)
+        # the breakpoints hold every node and run from 0 to 1 in order
+        xb, vb = Ua.pieces[k]
+        assert np.all(np.isin(xs, xb)) and np.all(np.diff(xb) >= 0.0)
+        assert xb[0] == 0.0 and xb[-1] == 1.0
+
+        def u(x, xb=xb, vb=vb):
+            return np.interp(x, xb, vb)
+
+        for i in range(1, xg.n):
+            hat = np.zeros(xg.n + 1)
+            hat[i] = 1.0
+            want = simpson_pieces(xb, lambda x: u(x) * np.interp(x, xs, hat))
+            assert loads[k, i - 1] == pytest.approx(want, abs=1e-15)
+        norm += tg.widths[k] * simpson_pieces(xb, lambda x: u(x) ** 2)
+    assert Ua.norm_l2l2_sq() == pytest.approx(norm, rel=1e-13)
+
+
+def test_blend_flat_layout_against_per_slab_merge(rng):
+    tg, xg, Ua, Ub = flat_layout_instance(rng)
+    Uc = blend_controls(Ua, Ub, 0.3, 0.7)
+    Ud = blend_controls(Uc, Ua, 0.6, 0.4)  # a blended layout merged again
+    # breakpoints moved by less than the merge tolerance coalesce, and the
+    # right endpoint stays exact when a point just below it comes first
+    near_x = Ua.x + np.where(np.isin(Ua.x, xg.nodes), 0.0, 3e-15)
+    near_x[Ua.offsets[1] - 2] = 1.0 - 3e-15
+    near = dataclasses.replace(Ua, x=near_x)
+    Ue = blend_controls(Ua, near, 0.5, 0.5)
+    assert np.array_equal(Ue.x, Ua.x)
+    for U, (U1, w1), (U2, w2) in ((Uc, (Ua, 0.3), (Ub, 0.7)), (Ud, (Uc, 0.6), (Ua, 0.4)),
+                                  (Ue, (Ua, 0.5), (near, 0.5))):
+        assert U.offsets[-1] == U.x.size == U.v.size
+        for k in range(tg.num_slabs):
+            (x1, v1), (x2, v2) = U1.pieces[k], U2.pieces[k]
+            xs = merge_breakpoints(x1, x2)
+            want = w1 * np.interp(xs, x1, v1) + w2 * np.interp(xs, x2, v2)
+            got_x, got_v = U.pieces[k]
+            assert np.array_equal(got_x, xs)
+            assert np.allclose(got_v, want, rtol=0.0, atol=1e-15)
+
+
+def test_evaluate_matches_interp_at_and_beyond_the_ends(rng):
+    tg, xg, Ua, Ub = flat_layout_instance(rng)
+    Uc = blend_controls(Ua, Ub, 0.5, 0.5)
+    xs = np.array([-2.0, -1e-300, 0.0, 0.3, 1.0, 1.0 + 1e-15, 7.0])
+    for U in (Ua, Uc):
+        for k in (1, tg.num_slabs):
+            xb, vb = U.pieces[k - 1]
+            assert np.array_equal(U.evaluate(k, xs), np.interp(xs, xb, vb))
+
+
+def test_evaluate_rejects_slab_outside_range(rng):
+    tg = build_graded(4, 1.0, 1.0, 1.0)   # 2M = 8
+    xg = build_uniform_spatial(8)
+    U = project_admissible(SpaceTimeField(tg, xg, rng.standard_normal((8, 7))),
+                           1.0, -0.1, 0.1)
+    for k in (0, -1, 9):
+        with pytest.raises(ValueError, match="slab index"):
+            U.evaluate(k, [0.25])
+    assert U.evaluate(8, [0.25]).shape == (1,)
+
+
 def test_fixed_point_trivial_data():
     spec0 = ProblemSpec(alpha=0.5, nu=1.0, T=1.0, u_lo=-0.1, u_hi=0.1, r=0.0,
                         y0=Zero(), yd=TimeConstant(Zero()))
@@ -201,14 +277,8 @@ def test_optimality_residual_detects_perturbation():
     U, Y, P, _ = fixed_point_solve(spec, tg, xg)
     assert optimality_residual(U, Y, P, spec) <= 1e-12
     delta = 3e-3
-    bumped = []
-    for xs, vs in U.pieces:
-        vs2 = vs.copy()
-        inactive = (vs2 > spec.u_lo + 0.02) & (vs2 < spec.u_hi - 0.02)
-        vs2[inactive] += delta
-        bumped.append((xs, vs2))
-    U2 = type(U)(U.tgrid, U.xgrid, U.nu, U.u_lo, U.u_hi, tuple(bumped),
-                 U.node_samples, costate=U.costate)
+    inactive = (U.v > spec.u_lo + 0.02) & (U.v < spec.u_hi - 0.02)
+    U2 = dataclasses.replace(U, v=np.where(inactive, U.v + delta, U.v))
     assert optimality_residual(U2, Y, P, spec) >= delta * 0.9
 
 

@@ -5,9 +5,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import eigh
 
-from fracctrl.fem import (NodalFunction, assemble_mass, assemble_stiffness,
-                          cross_grid_l2, l2_project, load_descriptor,
-                          load_powerlaw, solve_tridiagonal)
+from fracctrl.fem import (assemble_mass, assemble_stiffness, l2_project,
+                          load_descriptor, load_powerlaw, solve_tridiagonal)
 from fracctrl.mesh import build_uniform_spatial
 from fracctrl.problem import PowerLaw, SineCombo, Zero
 
@@ -195,44 +194,3 @@ def test_projection_idempotent_on_members():
     again = solve_tridiagonal(M, M.apply(c))
     assert np.max(np.abs(again - c)) <= 1e-13 * max(1.0, np.max(np.abs(c)))
 
-
-def test_cross_grid_same_function_zero():
-    g = build_uniform_spatial(8)
-    f = NodalFunction(g, np.sin(np.arange(7.0)))
-    assert cross_grid_l2(f, f) == 0.0
-
-
-def test_cross_grid_nested_representation_zero():
-    coarse = NodalFunction(build_uniform_spatial(2), np.array([1.0]))
-    fine = NodalFunction(build_uniform_spatial(4), np.array([0.5, 1.0, 0.5]))
-    assert cross_grid_l2(coarse, fine) <= 1e-15
-
-
-def test_cross_grid_against_composite_quadrature(rng):
-    ga, gb = build_uniform_spatial(10), build_uniform_spatial(16)
-    fa = NodalFunction(ga, rng.standard_normal(9))
-    fb = NodalFunction(gb, rng.standard_normal(15))
-    # composite Simpson on 1e5 panels aligned with both node sets
-    xs = np.union1d(np.linspace(0.0, 1.0, 100001),
-                    np.union1d(ga.nodes, gb.nodes))
-    mids = 0.5 * (xs[:-1] + xs[1:])
-
-    def dsq(x):
-        return (np.interp(x, ga.nodes, fa.with_boundary())
-                - np.interp(x, gb.nodes, fb.with_boundary())) ** 2
-
-    w = np.diff(xs)
-    brute = math.sqrt(np.sum(w / 6.0 * (dsq(xs[:-1]) + 4.0 * dsq(mids) + dsq(xs[1:]))))
-    assert cross_grid_l2(fa, fb) == pytest.approx(brute, abs=1e-9)
-
-
-def test_cross_grid_metric_properties(rng):
-    grids = [build_uniform_spatial(n) for n in (5, 8, 13)]
-    fs = [NodalFunction(g, rng.standard_normal(g.num_interior)) for g in grids]
-    for i in range(3):
-        for j in range(3):
-            assert cross_grid_l2(fs[i], fs[j]) == pytest.approx(
-                cross_grid_l2(fs[j], fs[i]), rel=1e-12)
-    d01, d12, d02 = (cross_grid_l2(fs[0], fs[1]), cross_grid_l2(fs[1], fs[2]),
-                     cross_grid_l2(fs[0], fs[2]))
-    assert d02 <= d01 + d12 + 1e-12

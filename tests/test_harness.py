@@ -51,6 +51,32 @@ def test_error_nested_rerepresentation_zero():
     assert error_l2l2(A, B) <= 1e-14
 
 
+def time_constant(xg, coeffs):
+    """A field on four uniform slabs of (0, 1) that is the same finite
+    element function on each: its space-time distance is the spatial one."""
+    tg = build_graded(2, 1.0, 1.0, 1.0)
+    return SpaceTimeField(tg, xg, np.tile(coeffs, (tg.num_slabs, 1)))
+
+
+def test_error_spatially_nested_rerepresentation_zero():
+    # the coarse hat on n=2, written out on the nested grid n=4
+    coarse = time_constant(build_uniform_spatial(2), np.array([1.0]))
+    fine = time_constant(build_uniform_spatial(4), np.array([0.5, 1.0, 0.5]))
+    assert error_l2l2(coarse, fine) <= 1e-15
+
+
+def test_error_metric_properties_across_spatial_grids(rng):
+    grids = [build_uniform_spatial(n) for n in (5, 8, 13)]
+    fs = [time_constant(g, rng.standard_normal(g.num_interior)) for g in grids]
+    for i in range(3):
+        for j in range(3):
+            assert error_l2l2(fs[i], fs[j]) == pytest.approx(
+                error_l2l2(fs[j], fs[i]), rel=1e-12)
+    d01, d12, d02 = (error_l2l2(fs[0], fs[1]), error_l2l2(fs[1], fs[2]),
+                     error_l2l2(fs[0], fs[2]))
+    assert d02 <= d01 + d12 + 1e-12
+
+
 def test_error_against_tensor_quadrature(rng):
     ta = build_graded(2, 2.0, 1.0, 1.0)
     tb = build_graded(3, 1.5, 1.2, 1.0)
