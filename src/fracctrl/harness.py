@@ -20,7 +20,7 @@ from .mesh import (SpatialGrid, TemporalGrid, build_graded,
                    build_uniform_spatial, default_sigmas, merge_breakpoints)
 from .mittag import SpectralSolution, spectral_state
 from .problem import ProblemSpec, SineCombo, default_experiment_spec
-from .solver import SourceTerm, apply_forward
+from .solver import PANEL, SourceTerm, apply_forward
 
 __all__ = [
     "ExperimentConfig",
@@ -167,11 +167,15 @@ def _grids_for(alpha: float, r: float, m: int, n: int, grading: str,
 def _solve_point(spec: ProblemSpec, alpha: float, r: float, m: int, n: int,
                  grading: str, sigma1, sigma2, tol: float, max_iter: int,
                  theta: float, reference: bool = False):
-    key = (alpha, r, m, n, grading if not reference else "graded",
-           sigma1, sigma2, tol, max_iter, theta, reference)
-    if key in _solve_cache:
-        return _solve_cache[key]
+    """Solve on the grids that (m, n, grading, sigmas) build, through a
+    least-recently-used cache keyed on those grids and the solver settings,
+    so that a spatial and a temporal reference on the same grids share one
+    solve."""
     tgrid, xgrid = _grids_for(alpha, r, m, n, grading, sigma1, sigma2, reference)
+    key = (alpha, r, tgrid.M, tgrid.sigma1, tgrid.sigma2, xgrid.n, tol, max_iter, theta)
+    if key in _solve_cache:
+        _solve_cache[key] = _solve_cache.pop(key)
+        return _solve_cache[key]
     U, Y, P, _ = fixed_point_solve(spec, tgrid, xgrid, tol=tol,
                                    max_iter=max_iter, theta=theta)
     while len(_solve_cache) >= _SOLVE_CACHE_MAX:
@@ -327,13 +331,17 @@ def forward_single_mode_error(alpha: float, m: int, n: int, r: float = 0.0,
         raise ValueError(f"unknown flavor {flavor!r}")
     Y = apply_forward(B, mass, stiffness, src)
     sol = SpectralSolution.from_sine_combo(combo.terms, alpha, flavor)
-    xi = xgrid.interior
+    a_, b_ = tgrid.nodes[:-1, None], tgrid.nodes[1:, None]
+    pts = 0.5 * (a_ + b_) + 0.5 * (b_ - a_) * _GAUSS4_X
+    wts = 0.5 * (b_ - a_) * _GAUSS4_W
+    # all Gauss times of a panel of slabs at once; d M d for the tridiagonal
+    # mass matrix without forming M d, so the temporaries stay at 4 PANEL n
     total = 0.0
-    for k in range(tgrid.num_slabs):
-        a_, b_ = tgrid.nodes[k], tgrid.nodes[k + 1]
-        pts = 0.5 * (a_ + b_) + 0.5 * (b_ - a_) * _GAUSS4_X
-        wts = 0.5 * (b_ - a_) * _GAUSS4_W
-        for tq, wq in zip(pts, wts):
-            d = Y.values[k] - spectral_state(sol, float(tq), xi)
-            total += wq * float(d @ mass.apply(d))
+    for k0 in range(0, tgrid.num_slabs, PANEL):
+        ks = slice(k0, k0 + PANEL)
+        d = spectral_state(sol, pts[ks], xgrid.interior)
+        d = np.subtract(Y.values[ks, None, :], d, out=d).reshape(-1, n - 1)
+        w = wts[ks].ravel()
+        total += float(np.einsum("k,ki,ki,i->", w, d, d, mass.diag)
+                       + np.einsum("k,ki,ki,i->", w, d[:, 1:], d[:, :-1], mass.sup + mass.sub))
     return math.sqrt(max(0.0, total))

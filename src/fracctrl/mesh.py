@@ -41,13 +41,6 @@ class TemporalGrid:
     def num_slabs(self) -> int:
         return 2 * self.M
 
-    @property
-    def max_width(self) -> float:
-        return float(self.widths.max())
-
-    def midpoints(self) -> np.ndarray:
-        return 0.5 * (self.nodes[:-1] + self.nodes[1:])
-
 
 @dataclass(frozen=True)
 class SpatialGrid:

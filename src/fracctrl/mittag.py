@@ -1,25 +1,46 @@
 """Two-parameter Mittag-Leffler function on the negative real axis, and the
 exact spectral solutions built from it.
 
-Evaluation strategy.  E_{b,g}(z) = sum_k z^k / Gamma(k b + g) converges
-everywhere but cancels catastrophically on the negative axis: the largest
-term exceeds the sum by roughly exp(b |z|^(1/b)), which outruns double
-precision already at moderate |z|.  Past a crossover Z0(b) the divergent
+`ml` has two evaluators.
+
+Double-precision quadrature, for 0 < b < 1 and g in {1, 1 + b} (the orders
+the spectral solutions use), with b in [0.0013, 0.9993] for g = 1 and in
+[0.0007, 0.9944] for g = 1 + b; the node count grows like 1/b and 1/(1 - b).
+E_b(-t^b) is completely monotone in t, so it is the Laplace transform of a
+positive density K_b (Gorenflo, Loutchko & Luchko, FCAA 5(4), 2002):
+
+    E_b(-x)       = int_0^inf exp(-r s) K_b(r) dr,             s = x^(1/b),
+    E_{b,1+b}(-x) = int_0^inf -expm1(-r s) K_b(r) dr / x,
+    r K_b(r)      = sin(pi b)/pi r^b / (r^2b + 2 r^b cos(pi b) + 1).
+
+Every term is positive, so nothing cancels.  `_ml_quadrature` sums the
+trapezoid rule in log r over a window that follows s, normalised by the same
+lattice sum of K_b; see there.  Measured against 30-digit references its
+error stays below 1e-14 relative for |z| from 5e-324 to 1e307; z = 0 gives
+1/Gamma(g) exactly.  Arrays of z run in blocks with no Python loop over z.
+
+The certified oracle, for every other order (b >= 1, b outside the ranges
+above, or g outside {1, 1 + b}) and for the tests.  E_{b,g}(z) =
+sum_k z^k / Gamma(k b + g) converges everywhere but cancels
+catastrophically on the negative axis: the largest term exceeds the sum by
+roughly exp(b |z|^(1/b)), which outruns double precision already at
+moderate |z|.  Past a crossover Z0(b) the divergent
 asymptotic expansion
 
     E_{b,g}(-t) = sum_{k>=1} (-1)^(k+1) t^(-k) / Gamma(g - k b) + ...
 
 truncated at its smallest term is accurate far beyond double precision, so:
 
-  * |z| <= Z0: power series; in double precision while the tracked peak
-    term stays small enough, otherwise in extended precision at peak + 30
-    digits.  For rational beta = p/q the extended sum runs in q lanes whose
-    terms advance by an exact integer ratio, held as scaled fixed-point
-    Python integers (one big-int multiply and floor-divide per term; mpmath
-    only for the q starting terms); other orders sum with mpmath.  The sum
-    is redone wider only when the result lies so far below 1 that the
-    digits left after cancellation no longer certify 1e-13 plus a guard for
-    rounding growth over the term count;
+  * |z| <= Z0: power series; in double precision while its running error
+    bound (which counts the double-rounded gamma arguments) certifies 1e-13,
+    otherwise in extended precision at peak + 30 digits.  For rational
+    beta = p/q the extended sum runs in q lanes whose terms advance by an
+    exact integer ratio, held as scaled fixed-point Python integers (one
+    big-int multiply and floor-divide per term; mpmath only for the q
+    starting terms); other orders sum with mpmath.  The sum is redone wider
+    only when the result lies so far below 1 that the digits left after
+    cancellation no longer certify 1e-13 plus a guard for rounding growth
+    over the term count;
   * |z| >  Z0: asymptotic expansion, accepted when its smallest-term error
     estimate certifies 1e-13; in the narrow band just above Z0 where it
     cannot, the extended-precision series takes over.
@@ -35,7 +56,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -60,6 +80,8 @@ _Z0_KNOTS = (
 )
 
 _FLOAT_PEAK_LOG10 = 15.0   # beyond this the double series is not attempted
+_ULP = 2.0 ** -53
+_GAMMA_ULPS = 10.0         # math.gamma error bound in ulps (7 seen over (0.2, 170))
 _TARGET_RTOL = 1e-13
 _MAX_DPS = 20000
 _MAX_TERMS = 2_000_000
@@ -157,11 +179,18 @@ def _series_peak_log10(beta: float, gamma_: float, z: float) -> float:
 def _series_float(beta: float, gamma_: float, z: float) -> tuple[float, float]:
     """Double-precision series with compensated summation.
 
-    Returns (sum, peak).  Caller must check peak/|sum| before trusting it.
+    Returns (sum, bound on its absolute error); the caller checks the bound
+    against |sum|.  Each term counts |term| times its relative error:
+    _GAMMA_ULPS for math.gamma plus one ulp each for the power and the
+    division, and the effect of the gamma argument k*beta + gamma_, which is
+    rounded twice in double: it moves by up to 2u a, which moves Gamma(a)
+    by |psi(a)| 2u a, with |psi(a)| <= |log a| + 1/a.
     """
     s = 0.0
     c = 0.0
+    err = 0.0
     peak = 0.0
+    arg = gamma_
     term = 1.0 / math.gamma(gamma_)
     thr = _past_peak_arg(beta, z)
     k = 0
@@ -171,6 +200,7 @@ def _series_float(beta: float, gamma_: float, z: float) -> tuple[float, float]:
         c = (tt - s) - y
         s = tt
         a = abs(term)
+        err += a * _ULP * (_GAMMA_ULPS + 2.0 + 2.0 * (arg * abs(math.log(arg)) + 1.0))
         if a > peak:
             peak = a
         k += 1
@@ -185,7 +215,7 @@ def _series_float(beta: float, gamma_: float, z: float) -> tuple[float, float]:
         if abs(term) < 1e-17 * max(abs(s), 5e-324) and arg > thr:
             s += term
             break
-    return s, peak
+    return s, err
 
 
 def _series_mp(beta: float, gamma_: float, z: float, dps: int) -> float:
@@ -281,11 +311,11 @@ def _series_certified(beta: float, gamma_: float, z: float) -> float:
     plog = _series_peak_log10(beta, gamma_, z)
     if plog < _FLOAT_PEAK_LOG10:
         try:
-            s, peak = _series_float(beta, gamma_, z)
+            s, err = _series_float(beta, gamma_, z)
         except OverflowError:
             pass
         else:
-            if peak * 1e-15 <= _TARGET_RTOL * abs(s):
+            if err <= _TARGET_RTOL * abs(s):
                 return s
     dps = int(max(plog, 0.0)) + 30
     for _ in range(4):
@@ -299,28 +329,151 @@ def _series_certified(beta: float, gamma_: float, z: float) -> float:
         f"series precision did not stabilize for beta={beta}, gamma={gamma_}, z={z}")
 
 
-@lru_cache(maxsize=200000)
-def _ml_cached(beta: float, gamma_: float, z: float) -> float:
+def _ml_certified(beta: float, gamma_: float, z: float) -> float:
+    """The certified oracle: asymptotic expansion past Z0, series below."""
     if z == 0.0:
         return 1.0 / math.gamma(gamma_)
-    z0 = crossover_z0(beta)
-    if -z > z0:
+    if -z > crossover_z0(beta):
         val, est = _asymptotic(beta, gamma_, z)
         if est <= _TARGET_RTOL:
             return val
         # accuracy unreachable on the asymptotic side (narrow band above Z0,
         # or degenerate expansion near beta = 1): widen-precision series
-        return _series_certified(beta, gamma_, z)
     return _series_certified(beta, gamma_, z)
 
 
-def ml(beta: float, gamma_: float, z: float) -> float:
-    """E_{beta,gamma}(z) for z <= 0, accurate to ~1e-13 relative."""
+# -- double-precision quadrature (0 < beta < 1, gamma in {1, 1 + beta}) -------
+
+_ENVELOPE_DROP = 40.0   # nodes whose integrand envelope is e^-40 below its peak are dropped
+_CUTOFF = 4.0           # E_b: exp(-r s) < 2e-24 past r s = e^4
+_STEP_DIVISOR = 42.0    # step 2 pi d / 42 in log r for an analyticity strip of half-width d
+_ROW_QUANTUM = 32       # windows are padded to a multiple of this many nodes
+_BLOCK = 1 << 13        # elements in one (z x node) temporary, 64 KB
+_MAX_NODES = 1 << 18    # widest window the quadrature accepts for an order
+_X_FLOOR = 1e-270       # E(-x) = E(-_X_FLOOR) in double precision for x below it
+_LN2_HI = 6.93147180369123816490e-01   # 32 significant bits: e * _LN2_HI is exact
+_LN2_LO = 1.90821492927058770002e-10
+
+
+def _density(y: np.ndarray, sigma: float) -> np.ndarray:
+    """K_b(r) dr / dy at y = b log r, up to the factor sin(pi b) / (pi b):
+    with w = e^-|y| (the density is even in y),
+    w / (w^2 + 2 w cos(pi b) + 1) = w / ((1 - w)^2 + 4 w sigma),
+    where 1 - w = -expm1(-|y|) keeps its digits near y = 0 and w underflows
+    gracefully in the far tails."""
+    a = -np.abs(y)
+    w = np.exp(a)
+    d = np.expm1(a, out=a)
+    d *= d
+    d += 4.0 * sigma * w
+    return np.divide(w, d, out=w)
+
+
+def _windows(beta: float, one: bool, lx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Node window [lo, hi] in y = b log r for each lx = log x.
+
+    With log(r s) = (y + lx) / b, the log of the integrand is bounded by a
+    concave piecewise-linear envelope: -|y| from the density, plus 0 below
+    y = -lx (E_b, cut off at r s = e^_CUTOFF) or min((y + lx) / b, 0)
+    (E_{b,1+b}).  The window is where the envelope lies within
+    _ENVELOPE_DROP of its peak; for a minimum of lines that is an
+    intersection of half-lines."""
+    if one:
+        t = np.minimum(0.0, -lx) - _ENVELOPE_DROP
+        return t, np.minimum(-t, beta * _CUTOFF - lx)
+    t = np.minimum(0.0, lx) - _ENVELOPE_DROP
+    a = beta * t - lx
+    return np.maximum(np.maximum(a / (1.0 - beta), a / (1.0 + beta)), t), -t
+
+
+def _quadrature(beta: float, gamma_: float):
+    """(step, sigma, normalising sum) of the rule for these orders, or None
+    outside its domain: 0 < b < 1, gamma in {1, 1 + b}, and no window wider
+    than _MAX_NODES nodes, which leaves out b within ~1e-3 of 0 and 1 (see
+    the module docstring).
+
+    The step follows the strip where the integrand is analytic in log r:
+    the density has poles at Im log r = pi (1 - b) / b, and exp(-r s) grows
+    past Im log r = pi / 2."""
+    if not 0.0 < beta < 1.0 or gamma_ not in (1.0, 1.0 + beta):
+        return None
+    eta = 2.0 * math.pi * min(0.5 * math.pi * beta, math.pi * (1.0 - beta)) / _STEP_DIVISOR
+    lo, hi = _windows(beta, gamma_ == 1.0, np.array([math.log(_X_FLOOR), 0.0]))
+    if np.max(hi - lo) / eta > _MAX_NODES:
+        return None
+    # 1 + cos(pi b) = 2 sigma, formed from 1 - b so that it keeps its digits
+    # as b -> 1
+    sigma = math.sin(0.5 * math.pi * (1.0 - beta)) ** 2
+    J = math.ceil(_ENVELOPE_DROP / eta)
+    return eta, sigma, float(np.sum(_density(np.arange(-J, J + 1) * eta, sigma)))
+
+
+def _ml_quadrature(beta: float, gamma_: float, rule, x: np.ndarray) -> np.ndarray:
+    """E_{b,gamma}(-x) for x > 0: the integrals of the module docstring by
+    the trapezoid rule in y = b log r.  Nodes sit on the lattice y = j eta;
+    each x keeps its own window of it (`_windows`), and the sum is divided
+    by the lattice sum of K over its whole window, which is 1 in exact
+    arithmetic, so the constant factors cancel.  log x is carried in two
+    parts, so that r s = exp((y + log x) / b) keeps its digits at any
+    |log x|.  Windows of equal width run together in blocks of _BLOCK
+    elements; a value depends only on its own x, so an array gives the same
+    bits as scalar calls."""
+    eta, sigma, norm = rule
+    one = gamma_ == 1.0
+    x = np.maximum(x, _X_FLOOR)
+    m, e = np.frexp(x)
+    lx_hi = e * _LN2_HI
+    lx_lo = e * _LN2_LO + np.log(m)
+    lo, hi = _windows(beta, one, lx_hi + lx_lo)
+    j0 = np.floor(lo / eta)
+    # node counts, padded to a multiple of _ROW_QUANTUM
+    width = (np.ceil(hi / eta) - j0 + _ROW_QUANTUM).astype(np.int64) // _ROW_QUANTUM
+    width *= _ROW_QUANTUM
+    out = np.empty_like(x)
+    for w in sorted(set(width.tolist())):
+        idx = np.flatnonzero(width == w)
+        nodes = np.arange(w)
+        step = max(1, _BLOCK // w)
+        for i in range(0, idx.size, step):
+            sel = idx[i:i + step]
+            y = (j0[sel, None] + nodes) * eta
+            k = y + lx_hi[sel, None]
+            k += lx_lo[sel, None]
+            k /= beta
+            with np.errstate(over="ignore"):
+                np.exp(k, out=k)
+            if one:
+                np.exp(np.negative(k, out=k), out=k)
+            else:
+                np.negative(np.expm1(np.negative(k, out=k), out=k), out=k)
+            k *= _density(y, sigma)
+            out[sel] = k.sum(axis=1)
+    out /= norm
+    return out if one else out / x
+
+
+def ml(beta: float, gamma_: float, z):
+    """E_{beta,gamma}(z) for z <= 0, accurate to ~1e-13 relative.
+
+    z may be a float (a float is returned) or an array (an array of the same
+    shape).  Inside the quadrature's domain (`_quadrature`) this runs in
+    double precision; other orders go point by point to the certified
+    series/asymptotic oracle."""
     if beta <= 0.0 or gamma_ <= 0.0:
         raise ValueError(f"orders must be positive, got beta={beta}, gamma={gamma_}")
-    if z > 0.0:
-        raise ValueError(f"only the closed negative axis is supported, got z={z}")
-    return _ml_cached(float(beta), float(gamma_), float(z))
+    beta, gamma_ = float(beta), float(gamma_)
+    za = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(za) & (za <= 0.0)):
+        raise ValueError(f"only the finite closed negative axis is supported, got z={z}")
+    x = -za.ravel()
+    rule = _quadrature(beta, gamma_)
+    if rule is None:
+        out = np.array([_ml_certified(beta, gamma_, -xi) for xi in x.tolist()])
+    else:
+        out = np.full_like(x, 1.0 / math.gamma(gamma_))
+        nz = np.flatnonzero(x)
+        out[nz] = _ml_quadrature(beta, gamma_, rule, x[nz])
+    return float(out[0]) if za.ndim == 0 else out.reshape(za.shape)
 
 
 # -- spectral solutions ------------------------------------------------------
@@ -363,12 +516,14 @@ class SpectralSolution:
         return cls(alpha=float(alpha), flavor=flavor, modes=tuple(modes))
 
 
-def spectral_state(sol: SpectralSolution, t: float, x: np.ndarray) -> np.ndarray:
-    """Evaluate the exact solution at time t on the given abscissae."""
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+def spectral_state(sol: SpectralSolution, t, x: np.ndarray) -> np.ndarray:
+    """Evaluate the exact solution at the time(s) t on the given abscissae;
+    the result has shape t.shape + x.shape."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
+        raise ValueError(f"times must be nonnegative, got {t}")
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
+    out = np.zeros(t.shape + x.shape)
     ta = t ** sol.alpha
     for k, lam, coef in sol.modes:
         if coef == 0.0:
@@ -377,5 +532,5 @@ def spectral_state(sol: SpectralSolution, t: float, x: np.ndarray) -> np.ndarray
             amp = ml(sol.alpha, 1.0, -lam * ta) * coef
         else:
             amp = ta * ml(sol.alpha, 1.0 + sol.alpha, -lam * ta) * coef
-        out += amp * math.sqrt(2.0) * np.sin(k * math.pi * x)
+        out += np.multiply.outer(amp, math.sqrt(2.0) * np.sin(k * math.pi * x))
     return out

@@ -9,7 +9,8 @@ from fracctrl.harness import (ConvergenceTable, ExperimentConfig,
                               estimate_order, forward_single_mode_error,
                               read_table_csv, render_table, run_spatial_study,
                               run_temporal_study)
-from fracctrl.mesh import build_graded, build_uniform_spatial
+from fracctrl import harness
+from fracctrl.mesh import build_graded, build_uniform_spatial, default_sigmas
 from fracctrl.solver import SpaceTimeField
 
 
@@ -189,12 +190,60 @@ def test_study_determinism():
     assert t1 == t2
 
 
+def _count_solves(monkeypatch):
+    calls = []
+    real = harness.fixed_point_solve
+
+    def counted(spec, tgrid, xgrid, **kw):
+        calls.append((tgrid.M, tgrid.sigma1, tgrid.sigma2, xgrid.n))
+        return real(spec, tgrid, xgrid, **kw)
+
+    monkeypatch.setattr(harness, "fixed_point_solve", counted)
+    return calls
+
+
+def test_shared_reference_solved_once(monkeypatch):
+    # the spatial reference (m=5, n=16) and the temporal reference (m=5,
+    # n=16) build the same graded grids; the temporal rows run on uniform
+    # grids, which the reference never does
+    calls = _count_solves(monkeypatch)
+    clear_solve_cache()
+    run_spatial_study(ExperimentConfig(kind="spatial-study", alpha=0.7, r=0.0,
+                                       grading="graded", points=(4, 8),
+                                       reference=16, fixed=5))
+    run_temporal_study(tiny_temporal_cfg(grading="uniform", fixed=16))
+    s1, s2 = default_sigmas(0.7, 0.0)
+    assert calls.count((2 ** 5, s1, s2, 16)) == 1
+    assert sorted(calls) == sorted([(2 ** 5, s1, s2, 16), (2 ** 5, s1, s2, 4),
+                                    (2 ** 5, s1, s2, 8), (2 ** 3, 1.0, 1.0, 16),
+                                    (2 ** 4, 1.0, 1.0, 16)])
+
+
+def test_solve_cache_evicts_least_recently_used(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    monkeypatch.setattr(harness, "_SOLVE_CACHE_MAX", 2)
+    clear_solve_cache()
+    spec = harness.default_experiment_spec(0.7, 0.0)
+
+    def solve(m):
+        return harness._solve_point(spec, 0.7, 0.0, m, 8, "graded", None, None,
+                                    1e-13, 200, 1.0)
+
+    a = solve(2)
+    solve(3)
+    assert solve(2)[0] is a[0]    # a hit, which refreshes m=2
+    solve(4)                      # evicts m=3, the least recently used
+    assert solve(2)[0] is a[0]
+    solve(3)
+    assert [c[0] for c in calls] == [4, 8, 16, 8]
+
+
 def test_reference_self_distance_zero():
     clear_solve_cache()
     cfg = tiny_temporal_cfg()
     run_temporal_study(cfg)
     from fracctrl.harness import _solve_cache
-    key = [k for k in _solve_cache if k[-1]][0]
+    key = [k for k in _solve_cache if k[2] == 2 ** cfg.reference][0]
     Ur, Yr, Pr = _solve_cache[key]
     assert error_l2l2(Yr, Yr) == 0.0 and error_l2l2(Ur, Ur) == 0.0
 
