@@ -24,6 +24,6 @@ from .problem import (FunctionDescriptor, PowerLaw, ProblemSpec, SineCombo,
                       from_config_text, to_config_text, validate)
 from .solver import (SourceTerm, SpaceTimeField, adjoint_source,
                      apply_adjoint, apply_forward, check_adjoint_identity,
-                     export_field_csv, field_inner, state_source)
+                     field_inner, state_source)
 
 __version__ = "0.1.0"

@@ -113,6 +113,9 @@ def _cmd_ocp(args) -> int:
 
 
 def _cmd_study(args) -> int:
+    frozen = "m" if args.axis == "spatial" else "n"
+    if len(getattr(args, frozen) or ()) > 1:
+        raise ValueError(f"--{frozen} takes one value in a {args.axis} study, its frozen axis")
     if args.axis == "spatial":
         defaults = harness.PAPER_SPATIAL if args.paper_scale else harness.SPATIAL_DEFAULTS
         if args.uniform:
@@ -124,7 +127,7 @@ def _cmd_study(args) -> int:
             kind="spatial-study", alpha=args.alpha, r=args.r, grading="graded",
             points=tuple(ns), reference=n_ref, fixed=m_fix, tol=args.tol,
             max_iter=args.max_iter, theta=args.theta, sigma1=args.sigma1,
-            sigma2=args.sigma2, out=args.out, fmt=args.fmt)
+            sigma2=args.sigma2)
         table = harness.run_spatial_study(cfg)
     else:
         defaults = harness.PAPER_TEMPORAL if args.paper_scale else harness.TEMPORAL_DEFAULTS
@@ -136,7 +139,7 @@ def _cmd_study(args) -> int:
             grading="uniform" if args.uniform else "graded",
             points=tuple(ms), reference=m_ref, fixed=n_fix, tol=args.tol,
             max_iter=args.max_iter, theta=args.theta, sigma1=args.sigma1,
-            sigma2=args.sigma2, out=args.out, fmt=args.fmt)
+            sigma2=args.sigma2)
         table = harness.run_temporal_study(cfg)
     text = harness.emit_table(table, fmt=args.fmt, path=args.out)
     sys.stdout.write(text)

@@ -120,10 +120,44 @@ class ControlField:
         keys = _keys(_slab_ids(off, k0, k1), self.x[off[k0]:off[k1]])
         j = np.searchsorted(keys, _keys(k, x), side="right") - 1 + off[k0]
         j = np.clip(j, off[k], off[k + 1] - 2)  # left end of a piece of slab k
-        xl, xr, vl, vr = self.x[j], self.x[j + 1], self.v[j], self.v[j + 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inside = (vr - vl) / (xr - xl) * (x - xl) + vl
-        return np.where(x >= xr, vr, np.where(x <= xl, vl, inside))
+        return _lerp(self.x, self.v, j, x)
+
+
+def _lerp(xs: np.ndarray, vs: np.ndarray, j, x) -> np.ndarray:
+    """Values at x on the pieces j..j+1 of a flat layout, as np.interp
+    forms them; exact at both ends of a piece, also of a zero-width one."""
+    xl, xr, vl, vr = xs[j], xs[j + 1], vs[j], vs[j + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inside = (vr - vl) / (xr - xl) * (x - xl) + vl
+    return np.where(x >= xr, vr, np.where(x <= xl, vl, inside))
+
+
+def _merge_layouts(a: tuple, ka: np.ndarray, b: tuple, kb: np.ndarray) -> tuple:
+    """Merged breakpoints (flat), their count per row, and the values of a
+    and b there, for two flat layouts (x, v, offsets) on [0, 1].
+
+    Row i merges slab ka[i]+1 of a with slab kb[i]+1 of b as
+    merge_breakpoints does (span 1).  Rows are padded with their right
+    endpoints and sorted stably, so a point of a precedes an equal point of
+    b, and the running count of a side's own points names its piece holding
+    each merged point, the one np.interp picks."""
+    rows = []
+    for (_, _, off), k in ((a, ka), (b, kb)):
+        first, last = off[k][:, None], off[k + 1][:, None] - 1
+        rows.append(np.minimum(first + np.arange(np.max(last - first) + 1), last))
+    keys = np.concatenate([a[0][rows[0]], b[0][rows[1]]], axis=1)
+    order = np.argsort(keys, axis=1, kind="stable")
+    keys = np.take_along_axis(keys, order, axis=1)
+    keep = np.ones(keys.shape, dtype=bool)
+    keep[:, 1:] = np.diff(keys, axis=1) > MERGE_RTOL
+    x, counts = keys[keep], keep.sum(axis=1)
+    x[np.cumsum(counts) - 1] = a[0][rows[0][:, -1]]  # each right endpoint stays exact
+    from_a = order < rows[0].shape[1]
+    vals = []
+    for (xs, vs, _), row, own in zip((a, b), rows, (from_a, ~from_a)):
+        piece = np.clip(np.cumsum(own, axis=1) - 1, 0, row[:, -1:] - row[:, :1] - 1)
+        vals.append(_lerp(xs, vs, (row[:, :1] + piece)[keep], x))
+    return x, counts, vals[0], vals[1]
 
 
 def _block_pieces(U: ControlField):
@@ -198,15 +232,11 @@ def blend_controls(a: ControlField, b: ControlField, wa: float, wb: float) -> Co
     does (span 1); exact for convex damping steps."""
     _check_grids(a, b)
     K = a.tgrid.num_slabs
-    keys = np.sort(np.concatenate([_keys(_slab_ids(a.offsets, 0, K), a.x),
-                                   _keys(_slab_ids(b.offsets, 0, K), b.x)]))
-    keys = keys[(np.diff(keys.real, prepend=-1) != 0)
-                | (np.diff(keys.imag, prepend=-1) > MERGE_RTOL)]
-    slab, x = keys.real.astype(int), keys.imag.copy()
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(slab, minlength=K))))
-    x[offsets[1:] - 1] = a.xgrid.nodes[-1]  # each right endpoint stays exact
-    return ControlField(a.tgrid, a.xgrid, a.nu, a.u_lo, a.u_hi, x,
-                        wa * a._values_at(slab, x) + wb * b._values_at(slab, x), offsets,
+    la, lb = (a.x, a.v, a.offsets), (b.x, b.v, b.offsets)
+    x, counts, va, vb = map(np.concatenate, zip(*(
+        _merge_layouts(la, ks, lb, ks) for ks in np.split(np.arange(K), range(PANEL, K, PANEL)))))
+    return ControlField(a.tgrid, a.xgrid, a.nu, a.u_lo, a.u_hi, x, wa * va + wb * vb,
+                        np.concatenate(([0], np.cumsum(counts))),
                         wa * a.node_samples + wb * b.node_samples)
 
 

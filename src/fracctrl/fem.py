@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solveh_banded
 
-from .mesh import SpatialGrid, merge_breakpoints
+from .mesh import SpatialGrid
 from .problem import FunctionDescriptor, PowerLaw, SineCombo, TimeConstant, Zero
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "load_descriptor",
     "l2_project",
     "solve_tridiagonal",
-    "pwl_l2_diff_sq",
 ]
 
 # 8-point Gauss-Legendre on (-1, 1)
@@ -160,17 +159,3 @@ def l2_project(grid: SpatialGrid, f: FunctionDescriptor) -> NodalFunction:
     """L2-orthogonal projection onto the finite element space."""
     mass = assemble_mass(grid)
     return NodalFunction(grid, solve_tridiagonal(mass, load_descriptor(grid, f)))
-
-
-def pwl_l2_diff_sq(xa: np.ndarray, va: np.ndarray, xb: np.ndarray, vb: np.ndarray) -> float:
-    """Exact squared L2 distance between two piecewise-linear functions given
-    as breakpoints/values (endpoints included, equal spans).
-
-    On each merged interval the difference is linear, so
-    int d^2 = w (dl^2 + dl dr + dr^2)/3 is exact.
-    """
-    xs = merge_breakpoints(xa, xb)
-    da = np.interp(xs, xa, va) - np.interp(xs, xb, vb)
-    dl, dr = da[:-1], da[1:]
-    return float(np.sum(np.diff(xs) * (dl * dl + dl * dr + dr * dr)) / 3.0)
-

@@ -97,9 +97,6 @@ class KernelMoments:
     grid: TemporalGrid
     values: np.ndarray = field(repr=False)
 
-    def total(self) -> float:
-        return float(self.values.sum())
-
 
 def source_moments(grid: TemporalGrid, alpha: float) -> KernelMoments:
     """m_k = (t_k^(1-a) - t_{k-1}^(1-a)) / Gamma(2-a)."""

@@ -20,7 +20,6 @@ the work inside a panel is sequential.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +39,6 @@ __all__ = [
     "adjoint_source",
     "check_adjoint_identity",
     "field_inner",
-    "export_field_csv",
 ]
 
 # coupling rows generated and marched together; 256 rows were slower at
@@ -55,9 +53,6 @@ class SpaceTimeField:
     tgrid: TemporalGrid
     xgrid: SpatialGrid
     values: np.ndarray = field(repr=False)
-
-    def slab(self, k: int) -> NodalFunction:
-        return NodalFunction(self.xgrid, self.values[k - 1])
 
 
 @dataclass(frozen=True)
@@ -179,17 +174,3 @@ def check_adjoint_identity(B: TemporalCouplingMatrix, mass: TriDiagonalOperator,
     a = field_inner(apply_forward(B, mass, stiffness, src1), g2, mass)
     b = field_inner(g1, apply_adjoint(B, mass, stiffness, src2), mass)
     return abs(a - b)
-
-
-def export_field_csv(fieldobj: SpaceTimeField, path) -> None:
-    """Dump as (t_k, x_i, value) rows; boundary values are written as zero."""
-    tg, xg = fieldobj.tgrid, fieldobj.xgrid
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "x", "value"])
-        for k in range(tg.num_slabs):
-            tk = float(tg.nodes[k + 1])
-            vals = np.zeros(xg.n + 1)
-            vals[1:-1] = fieldobj.values[k]
-            for x, v in zip(xg.nodes, vals):
-                w.writerow([repr(tk), repr(float(x)), repr(float(v))])

@@ -69,6 +69,16 @@ def test_error_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_extra_values_on_frozen_axis_rejected(capsys):
+    # the spatial study freezes m, the temporal study freezes n: a second
+    # value there would be ignored, so it is an error that names the flag
+    for axis, flag, argv in (("spatial", "--m", ["--m", "3,9", "--n", "4,6", "--n-ref", "8"]),
+                             ("temporal", "--n", ["--m", "3,4", "--m-ref", "5", "--n", "8,16"])):
+        rc = main(["study", axis, "--alpha", "0.7", *argv])
+        assert rc == 2
+        assert flag in capsys.readouterr().err
+
+
 def test_uniform_spatial_study_rejected(capsys):
     rc = main(["study", "spatial", "--uniform", "--alpha", "0.5"])
     assert rc == 2

@@ -166,7 +166,7 @@ def test_flat_layout_against_per_slab_reference(rng):
             want = simpson_pieces(xb, lambda x: u(x) * np.interp(x, xs, hat))
             assert loads[k, i - 1] == pytest.approx(want, abs=1e-15)
         norm += tg.widths[k] * simpson_pieces(xb, lambda x: u(x) ** 2)
-    assert Ua.norm_l2l2_sq() == pytest.approx(norm, rel=1e-13)
+    assert Ua.norm_l2l2_sq() == pytest.approx(norm, rel=1e-13, abs=0.0)
 
 
 def test_blend_flat_layout_against_per_slab_merge(rng):
@@ -289,7 +289,7 @@ def test_cost_closed_form_target_only():
     Y0 = SpaceTimeField(tg, xg, np.zeros((8, 7)))
     rep = evaluate_cost(None, Y0, spec0)
     want = 0.5 * (1.0 / 0.02 - 2.0 / 1.02 + 1.0 / 2.02)
-    assert rep.total == pytest.approx(want, rel=1e-13)
+    assert rep.total == pytest.approx(want, rel=1e-13, abs=0.0)
     assert rep.penalty == 0.0
 
 

@@ -26,7 +26,7 @@ def test_mass_total_against_hand_count():
     M = assemble_mass(g)
     ones = np.ones(3)
     want = 2.0 * g.h / 3.0 * 3 + 2.0 * (g.h / 6.0) * 2
-    assert ones @ M.apply(ones) == pytest.approx(want, rel=1e-15)
+    assert ones @ M.apply(ones) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def test_mass_quadratic_form_approximates_sine_norm():

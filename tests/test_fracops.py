@@ -20,7 +20,7 @@ def test_uniform_diagonal_closed_form():
     tau = 1.0 / 8.0
     want = tau ** (1.0 - alpha) / math.gamma(2.0 - alpha)
     for k in range(1, 9):
-        assert B.entry(k, k) == pytest.approx(want, rel=1e-14)
+        assert B.entry(k, k) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_uniform_first_subdiagonal():
@@ -31,7 +31,7 @@ def test_uniform_first_subdiagonal():
     want = (2.0 ** (1.0 - alpha) - 2.0) * tau ** (1.0 - alpha) / math.gamma(2.0 - alpha)
     assert want < 0.0
     for k in range(2, 9):
-        assert B.entry(k, k - 1) == pytest.approx(want, rel=1e-13)
+        assert B.entry(k, k - 1) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_strict_triangle():
@@ -84,14 +84,15 @@ def test_source_moments_uniform_first():
     alpha = 0.7
     g = uniform_grid(4)
     m = source_moments(g, alpha)
-    assert m.values[0] == pytest.approx((1.0 / 8.0) ** (1 - alpha) / math.gamma(2 - alpha), rel=1e-14)
+    assert m.values[0] == pytest.approx((1.0 / 8.0) ** (1 - alpha) / math.gamma(2 - alpha),
+                                        rel=1e-14, abs=0.0)
 
 
 def test_source_moments_telescoping():
     alpha = 0.3
     g = build_graded(8, 2.5, 1.3, 1.0)
     m = source_moments(g, alpha)
-    assert m.total() == pytest.approx(1.0 / math.gamma(2.0 - alpha), rel=1e-13)
+    assert m.values.sum() == pytest.approx(1.0 / math.gamma(2.0 - alpha), rel=1e-13, abs=0.0)
 
 
 def test_source_moments_sqrt_pattern():

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from fracctrl.control import project_admissible
+from fracctrl.control import ControlField, project_admissible
 from fracctrl.harness import (ConvergenceTable, ExperimentConfig,
                               clear_solve_cache, emit_table, error_l2l2,
                               estimate_order, forward_single_mode_error,
                               read_table_csv, render_table, run_spatial_study,
                               run_temporal_study)
 from fracctrl import harness
-from fracctrl.mesh import build_graded, build_uniform_spatial, default_sigmas
+from fracctrl.mesh import (build_graded, build_uniform_spatial, default_sigmas,
+                           merge_breakpoints)
 from fracctrl.solver import SpaceTimeField
 
 
@@ -72,7 +73,7 @@ def test_error_metric_properties_across_spatial_grids(rng):
     for i in range(3):
         for j in range(3):
             assert error_l2l2(fs[i], fs[j]) == pytest.approx(
-                error_l2l2(fs[j], fs[i]), rel=1e-12)
+                error_l2l2(fs[j], fs[i]), rel=1e-12, abs=0.0)
     d01, d12, d02 = (error_l2l2(fs[0], fs[1]), error_l2l2(fs[1], fs[2]),
                      error_l2l2(fs[0], fs[2]))
     assert d02 <= d01 + d12 + 1e-12
@@ -114,7 +115,7 @@ def test_error_metric_properties(rng):
     xg = build_uniform_spatial(6)
     fs = [make_field(tg1, xg, rng), make_field(tg2, xg, rng),
           make_field(tg1, xg, rng)]
-    assert error_l2l2(fs[0], fs[1]) == pytest.approx(error_l2l2(fs[1], fs[0]), rel=1e-13)
+    assert error_l2l2(fs[0], fs[1]) == pytest.approx(error_l2l2(fs[1], fs[0]), rel=1e-13, abs=0.0)
     d01 = error_l2l2(fs[0], fs[1])
     d12 = error_l2l2(fs[1], fs[2])
     d02 = error_l2l2(fs[0], fs[2])
@@ -143,6 +144,42 @@ def test_error_controls_cross_grading(rng):
         seg = float(np.sum(w / 6.0 * (d[:-1] ** 2 + 4 * dm ** 2 + d[1:] ** 2)))
         total += (hi - lo) * seg
     assert got == pytest.approx(math.sqrt(total), abs=2e-6)
+
+
+def per_slab_error(A, B):
+    """The exact space-time distance one merged slab at a time, from
+    merge_breakpoints, np.interp and the per-piece formula."""
+    def row(F, k):
+        if isinstance(F, ControlField):
+            return F.pieces[k]
+        return F.xgrid.nodes, np.concatenate([[0.0], F.values[k], [0.0]])
+
+    ts = merge_breakpoints(A.tgrid.nodes, B.tgrid.nodes)
+    total = 0.0
+    for lo, hi in zip(ts[:-1], ts[1:]):
+        tm = 0.5 * (lo + hi)
+        (xa, va), (xb, vb) = (row(F, int(np.searchsorted(F.tgrid.nodes, tm)) - 1)
+                              for F in (A, B))
+        xs = merge_breakpoints(xa, xb)
+        d = np.interp(xs, xa, va) - np.interp(xs, xb, vb)
+        total += (hi - lo) * float(np.sum(np.diff(xs) * (d[:-1] ** 2 + d[:-1] * d[1:]
+                                                         + d[1:] ** 2))) / 3.0
+    return math.sqrt(total)
+
+
+def test_error_across_both_grids_matches_per_slab_reference(rng):
+    # 128 and 96 slabs merge into more than 160, so the kernel's blocks of
+    # PANEL merged slabs cross block boundaries
+    tg1 = build_graded(64, 2.0, 1.2, 1.0)
+    tg2 = build_graded(48, 1.5, 1.0, 1.0)
+    assert merge_breakpoints(tg1.nodes, tg2.nodes).size - 1 >= 160
+    x1, x2 = build_uniform_spatial(7), build_uniform_spatial(12)
+    Y = make_field(tg2, x2, rng, 0.3)
+    Ua = project_admissible(make_field(tg1, x1, rng, 0.3), 1.0, -0.1, 0.1)
+    Ub = project_admissible(Y, 1.0, 0.02, 0.2)  # nonzero at x = 0 and x = 1
+    assert Ua.x.size > tg1.num_slabs * 8 and Ub.x.size > tg2.num_slabs * 13  # kinks
+    for A, B in ((Ua, Ub), (Ub, Ua), (Ua, Y), (Y, Ua)):
+        assert error_l2l2(A, B) == pytest.approx(per_slab_error(A, B), rel=1e-13, abs=0.0)
 
 
 def test_error_rejects_interval_mismatch(rng):
@@ -299,7 +336,7 @@ def test_csv_round_trip(tmp_path):
             if math.isnan(a):
                 assert math.isnan(b)
             else:
-                assert b == pytest.approx(a, rel=1e-15)
+                assert b == pytest.approx(a, rel=1e-15, abs=0.0)
 
 
 def test_render_rejects_unknown_format():

@@ -23,12 +23,12 @@ def test_right_grading():
 
 def test_default_sigmas_values():
     s1, s2 = default_sigmas(0.8, 0.0)
-    assert s1 == pytest.approx(6.0, rel=1e-14) and s2 == 1.0
+    assert s1 == pytest.approx(6.0, rel=1e-14, abs=0.0) and s2 == 1.0
     s1, s2 = default_sigmas(0.4, 0.0)
-    assert s1 == pytest.approx(8.0 / 3.0, rel=1e-14)
-    assert s2 == pytest.approx(8.0 / 7.0, rel=1e-14)
+    assert s1 == pytest.approx(8.0 / 3.0, rel=1e-14, abs=0.0)
+    assert s2 == pytest.approx(8.0 / 7.0, rel=1e-14, abs=0.0)
     s1, s2 = default_sigmas(0.8, 0.25)
-    assert s1 == pytest.approx(2.0, rel=1e-14) and s2 == 1.0
+    assert s1 == pytest.approx(2.0, rel=1e-14, abs=0.0) and s2 == 1.0
 
 
 def test_uniform_spatial():
@@ -84,7 +84,7 @@ def test_halves_nest_exactly(M, s1, s2):
 @given(M=st.integers(2, 64), s1=st.floats(1.0, 6.0))
 def test_first_width_closed_form(M, s1):
     g = build_graded(M, s1, 1.0, 1.0)
-    assert g.widths[0] == pytest.approx((1.0 / M) ** s1 * 0.5, rel=5e-16)
+    assert g.widths[0] == pytest.approx((1.0 / M) ** s1 * 0.5, rel=5e-16, abs=0.0)
 
 
 def test_width_ratio_flattens_toward_center():

@@ -50,7 +50,7 @@ def test_validate_rejects_non_square_integrable_datum():
 def test_powerlaw_l2_closed_form():
     # int_0^1 x^(-0.98) (1-x)^2 dx = 1/0.02 - 2/1.02 + 1/2.02
     want = 1.0 / 0.02 - 2.0 / 1.02 + 1.0 / 2.02
-    assert PowerLaw(1.0, -0.49).l2_norm_sq() == pytest.approx(want, rel=1e-14)
+    assert PowerLaw(1.0, -0.49).l2_norm_sq() == pytest.approx(want, rel=1e-14, abs=0.0)
     with pytest.raises(ValueError):
         PowerLaw(1.0, -0.6).l2_norm_sq()
 

@@ -11,8 +11,7 @@ from fracctrl.mesh import build_graded, build_uniform_spatial
 from fracctrl.problem import PowerLaw
 from fracctrl.solver import (PANEL, SourceTerm, SpaceTimeField, adjoint_source,
                              apply_adjoint, apply_forward,
-                             check_adjoint_identity, export_field_csv,
-                             field_inner, state_source)
+                             check_adjoint_identity, field_inner, state_source)
 
 
 @pytest.fixture
@@ -180,18 +179,6 @@ def test_oracle_errors_shrink_with_both_axes():
         errs[(m, n)] = forward_single_mode_error(0.5, m, n, flavor="homogeneous")
     assert errs[(6, 128)] < errs[(5, 64)] * 1.1
     assert errs[(7, 256)] < errs[(6, 128)] * 1.1
-
-
-def test_csv_export(tmp_path, small_setup, rng):
-    tg, xg, B, mass, stiff = small_setup
-    f = SpaceTimeField(tg, xg, rng.standard_normal((16, 15)))
-    path = tmp_path / "field.csv"
-    export_field_csv(f, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,x,value"
-    assert len(lines) == 1 + 16 * 17
-    t, x, v = lines[1].split(",")
-    assert float(t) == tg.nodes[1] and float(x) == 0.0 and float(v) == 0.0
 
 
 def test_grid_mismatch_rejected(small_setup, rng):
