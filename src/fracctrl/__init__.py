@@ -5,8 +5,8 @@ box-constrained control, and a fixed-point optimizer, together with a
 convergence-study harness."""
 
 from .control import (ControlField, CostReport, FixedPointDiverged,
-                      blend_controls, control_loads, evaluate_cost,
-                      fixed_point_solve, optimality_residual, project_admissible)
+                      control_loads, evaluate_cost, fixed_point_solve,
+                      optimality_residual, project_admissible)
 from .fem import (NodalFunction, TriDiagonalOperator, assemble_mass,
                   assemble_stiffness, l2_project, load_descriptor,
                   load_powerlaw, solve_tridiagonal)

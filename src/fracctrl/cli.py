@@ -18,16 +18,18 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_problem(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=0.5, help="fractional order in (0,1)")
     p.add_argument("--r", type=float, default=0.0, help="smoothness index in [0,1)")
     p.add_argument("--sigma1", type=float, default=None, help="override grading exponent at t=0")
     p.add_argument("--sigma2", type=float, default=None, help="override grading exponent at t=T")
+    p.add_argument("--out", type=str, default=None, help="output file")
+
+
+def _add_solver(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-13, help="fixed-point stopping tolerance")
     p.add_argument("--max-iter", type=int, default=200, help="fixed-point iteration cap")
     p.add_argument("--theta", type=float, default=1.0, help="fixed-point damping in (0,1]")
-    p.add_argument("--out", type=str, default=None, help="output file")
-    p.add_argument("--format", dest="fmt", choices=("text", "csv"), default="text")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,30 +41,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fp = sub.add_parser("forward", help="validate the forward solver against "
                                         "the exact eigen-expansion")
-    _add_common(fp)
+    _add_problem(fp)
     fp.add_argument("--m", type=int, default=8, help="temporal levels: M = 2^m")
     fp.add_argument("--n", type=int, default=128, help="spatial cells: h = 1/n")
 
     op = sub.add_parser("ocp", help="solve one control problem instance")
-    _add_common(op)
+    _add_problem(op)
+    _add_solver(op)
     op.add_argument("--m", type=int, default=8)
     op.add_argument("--n", type=int, default=64)
     op.add_argument("--config", type=str, default=None,
                     help="problem spec from a key = value file")
 
     st = sub.add_parser("study", help="convergence study along one axis")
-    _add_common(st)
+    _add_problem(st)
+    _add_solver(st)
     st.add_argument("axis", choices=("spatial", "temporal"))
     st.add_argument("--m", type=_int_list, default=None,
                     help="spatial study: fixed m; temporal study: comma list of rows")
     st.add_argument("--n", type=_int_list, default=None,
                     help="spatial study: comma list of rows; temporal study: fixed n")
-    st.add_argument("--m-ref", type=int, default=None)
-    st.add_argument("--n-ref", type=int, default=None)
+    st.add_argument("--m-ref", type=int, default=None, help="temporal study: reference m")
+    st.add_argument("--n-ref", type=int, default=None, help="spatial study: reference n")
     st.add_argument("--uniform", action="store_true",
                     help="run the rows on uniform temporal grids")
     st.add_argument("--paper-scale", action="store_true",
                     help="full-scale references (m=14 / n=512)")
+    st.add_argument("--format", dest="fmt", choices=("text", "csv"), default="text")
     return ap
 
 
@@ -113,9 +118,12 @@ def _cmd_ocp(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    frozen = "m" if args.axis == "spatial" else "n"
+    frozen, refined = ("m", "n") if args.axis == "spatial" else ("n", "m")
     if len(getattr(args, frozen) or ()) > 1:
         raise ValueError(f"--{frozen} takes one value in a {args.axis} study, its frozen axis")
+    if getattr(args, f"{frozen}_ref") is not None:
+        raise ValueError(f"--{frozen}-ref does not apply to a {args.axis} study; "
+                         f"its reference is --{refined}-ref")
     if args.axis == "spatial":
         defaults = harness.PAPER_SPATIAL if args.paper_scale else harness.SPATIAL_DEFAULTS
         if args.uniform:

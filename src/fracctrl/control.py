@@ -12,7 +12,7 @@ scheme has no consistency error beyond the discretization itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -21,8 +21,8 @@ from .fem import TriDiagonalOperator, assemble_mass, assemble_stiffness, l2_proj
 from .fracops import assemble_coupling, source_moments
 from .mesh import MERGE_RTOL, SpatialGrid, TemporalGrid
 from .problem import ProblemSpec
-from .solver import (PANEL, SpaceTimeField, _check_grids, adjoint_source,
-                     apply_adjoint, apply_forward, state_source)
+from .solver import (PANEL, SpaceTimeField, adjoint_source, apply_adjoint,
+                     apply_forward, state_source)
 
 __all__ = [
     "ControlField",
@@ -30,13 +30,14 @@ __all__ = [
     "FixedPointDiverged",
     "project_admissible",
     "control_loads",
-    "blend_controls",
     "fixed_point_solve",
     "optimality_residual",
     "evaluate_cost",
 ]
 
 _INV_SQRT3 = 1.0 / math.sqrt(3.0)
+# sample points per element at which optimality_residual compares U
+_RESIDUAL_POINTS = 9
 
 
 class FixedPointDiverged(RuntimeError):
@@ -73,8 +74,7 @@ class ControlField:
 
     Slab k+1 has breakpoints ``x[offsets[k]:offsets[k+1]]`` covering [0, 1]
     and containing every element node and every bound crossing, with values
-    ``v`` at the same positions.  ``node_samples`` are the interior nodal
-    values used by the fixed-point stopping rule.
+    ``v`` at the same positions.
     """
 
     tgrid: TemporalGrid
@@ -85,7 +85,6 @@ class ControlField:
     x: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
     offsets: np.ndarray = field(repr=False)
-    node_samples: np.ndarray = field(repr=False)
 
     @cached_property
     def pieces(self) -> tuple:
@@ -172,14 +171,6 @@ def _block_pieces(U: ControlField):
                v[:-1][keep], v[1:][keep])
 
 
-def _constant_control(tgrid: TemporalGrid, xgrid: SpatialGrid, nu: float,
-                      u_lo: float, u_hi: float, value: float) -> ControlField:
-    K, n = tgrid.num_slabs, xgrid.n
-    return ControlField(tgrid, xgrid, nu, u_lo, u_hi, np.tile(xgrid.nodes, K),
-                        np.full(K * (n + 1), value), np.arange(K + 1) * (n + 1),
-                        np.full((K, xgrid.num_interior), value))
-
-
 def project_admissible(P: SpaceTimeField, nu: float, u_lo: float, u_hi: float) -> ControlField:
     """U = clamp(-P/nu) with exact bound-crossing abscissae per element."""
     if not u_lo < u_hi:
@@ -198,7 +189,7 @@ def project_admissible(P: SpaceTimeField, nu: float, u_lo: float, u_hi: float) -
     np.clip(w, u_lo, u_hi, out=w)
     v = np.insert(w.ravel(), at[order], cv[order])
     offsets = np.concatenate(([0], np.cumsum(n + 1 + np.bincount(at // (n + 1), minlength=K))))
-    return ControlField(P.tgrid, xg, nu, u_lo, u_hi, x, v, offsets, w[:, 1:-1])
+    return ControlField(P.tgrid, xg, nu, u_lo, u_hi, x, v, offsets)
 
 
 def control_loads(U: ControlField, grid: SpatialGrid) -> np.ndarray:
@@ -227,26 +218,13 @@ def control_loads(U: ControlField, grid: SpatialGrid) -> np.ndarray:
     return out.reshape(-1, n + 1)[:, 1:-1]
 
 
-def blend_controls(a: ControlField, b: ControlField, wa: float, wb: float) -> ControlField:
-    """wa*a + wb*b with breakpoints merged per slab as merge_breakpoints
-    does (span 1); exact for convex damping steps."""
-    _check_grids(a, b)
-    K = a.tgrid.num_slabs
-    la, lb = (a.x, a.v, a.offsets), (b.x, b.v, b.offsets)
-    x, counts, va, vb = map(np.concatenate, zip(*(
-        _merge_layouts(la, ks, lb, ks) for ks in np.split(np.arange(K), range(PANEL, K, PANEL)))))
-    return ControlField(a.tgrid, a.xgrid, a.nu, a.u_lo, a.u_hi, x, wa * va + wb * vb,
-                        np.concatenate(([0], np.cumsum(counts))),
-                        wa * a.node_samples + wb * b.node_samples)
-
-
 @dataclass(frozen=True)
 class CostReport:
     tracking: float
     penalty: float
     total: float
-    iterations: int
-    final_increment: float
+    iterations: int = 0
+    final_increment: float = math.nan
     cost_history: tuple = ()
 
 
@@ -259,9 +237,7 @@ def _control_norm_sq(U, tgrid: TemporalGrid, mass: TriDiagonalOperator) -> float
     return float(np.sum(tgrid.widths * np.einsum("ki,ki->k", U.values, mass.apply(U.values))))
 
 
-def evaluate_cost(U, Y: SpaceTimeField, spec: ProblemSpec,
-                  iterations: int = 0, final_increment: float = float("nan"),
-                  cost_history: tuple = ()) -> CostReport:
+def evaluate_cost(U, Y: SpaceTimeField, spec: ProblemSpec) -> CostReport:
     """J(U) = 1/2 ||Y - yd||^2 + nu/2 ||U||^2 with the tracking misfit
     expanded into the mass form, exact cross loads, and the closed-form
     target norm; the penalty uses the kink-exact control norm."""
@@ -272,19 +248,21 @@ def evaluate_cost(U, Y: SpaceTimeField, spec: ProblemSpec,
     cross = Y.values @ yd_load
     tracking = 0.5 * float(np.sum(Y.tgrid.widths * (ymy - 2.0 * cross + yd_sq)))
     penalty = 0.5 * spec.nu * _control_norm_sq(U, Y.tgrid, mass)
-    return CostReport(tracking=tracking, penalty=penalty, total=tracking + penalty,
-                      iterations=iterations, final_increment=final_increment,
-                      cost_history=cost_history)
+    return CostReport(tracking=tracking, penalty=penalty, total=tracking + penalty)
 
 
 def fixed_point_solve(spec: ProblemSpec, tgrid: TemporalGrid, xgrid: SpatialGrid,
                       tol: float = 1e-13, max_iter: int = 200, theta: float = 1.0):
     """Solve the discrete optimality system by projected fixed-point
-    iteration: alternate state and co-state solves with the clamped
-    co-state as the next control, optionally damped by theta.
+    iteration on the nodal co-state Q, which starts at -nu u_init.
 
-    Returns (U, Y, P, CostReport); Y and P are recomputed from the final
-    control so the triple satisfies the discrete coupled system.
+    Each iteration projects U = clamp(-Q/nu), solves for the state Y and
+    the co-state P, and stops once r = ||P - Q||_2 / nu over the interior
+    nodes is below tol; otherwise Q moves to (1 - theta) Q + theta P.  The
+    clamp is 1-Lipschitz and -Q/nu is piecewise linear in x, so r bounds
+    |U - clamp(-P/nu)| at every point, kinks included.
+
+    Returns (U, Y, P, CostReport) of the accepted iteration.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -297,51 +275,34 @@ def fixed_point_solve(spec: ProblemSpec, tgrid: TemporalGrid, xgrid: SpatialGrid
     y0_proj = l2_project(xgrid, spec.y0)
 
     u_init = 0.0 if spec.u_lo <= 0.0 <= spec.u_hi else 0.5 * (spec.u_lo + spec.u_hi)
-    U = _constant_control(tgrid, xgrid, spec.nu, spec.u_lo, spec.u_hi, u_init)
-
+    Q = np.full((tgrid.num_slabs, xgrid.num_interior), -spec.nu * u_init)
     history = []
     increment = math.inf
-    iterations = 0
-    converged = False
-    while iterations < max_iter:
-        src = state_source(U, y0_proj, moments, mass)
-        Y = apply_forward(B, mass, stiffness, src)
+    for iterations in range(1, max_iter + 1):
+        U = project_admissible(SpaceTimeField(tgrid, xgrid, Q), spec.nu, spec.u_lo, spec.u_hi)
+        Y = apply_forward(B, mass, stiffness, state_source(U, y0_proj, moments, mass))
         P = apply_adjoint(B, mass, stiffness, adjoint_source(Y, spec.yd))
-        history.append(evaluate_cost(U, Y, spec).total)
-        U_proj = project_admissible(P, spec.nu, spec.u_lo, spec.u_hi)
-        if theta < 1.0:
-            U_next = blend_controls(U, U_proj, 1.0 - theta, theta)
-        else:
-            U_next = U_proj
-        increment = float(np.sqrt(np.sum((U_next.node_samples - U.node_samples) ** 2)))
-        U = U_next
-        iterations += 1
+        history.append(evaluate_cost(U, Y, spec))
+        increment = float(np.linalg.norm(P.values - Q)) / spec.nu
         if increment < tol:
-            converged = True
-            break
-    if not converged:
-        raise FixedPointDiverged(iterations, increment)
-
-    # re-evaluate the pair at the accepted control
-    src = state_source(U, y0_proj, moments, mass)
-    Y = apply_forward(B, mass, stiffness, src)
-    P = apply_adjoint(B, mass, stiffness, adjoint_source(Y, spec.yd))
-    report = evaluate_cost(U, Y, spec, iterations=iterations,
-                           final_increment=increment, cost_history=tuple(history))
-    return U, Y, P, report
+            return U, Y, P, replace(
+                history[-1], iterations=iterations, final_increment=increment,
+                cost_history=tuple(rep.total for rep in history))
+        Q = (1.0 - theta) * Q + theta * P.values  # exactly P at theta = 1
+    raise FixedPointDiverged(max_iter, increment)
 
 
 def optimality_residual(U: ControlField, Y: SpaceTimeField, P: SpaceTimeField,
-                        spec: ProblemSpec, points_per_element: int = 9) -> float:
+                        spec: ProblemSpec) -> float:
     """Max violation of U = clamp(-P/nu) over a dense sample of each slab.
 
     Zero at the exact discrete solution; equivalent to the variational
     inequality for the box set.
     """
     xg = P.xgrid
-    sub = np.linspace(0.0, 1.0, points_per_element + 1)[:-1]
+    sub = np.linspace(0.0, 1.0, _RESIDUAL_POINTS + 1)[:-1]
     dense = np.append((xg.nodes[:-1, None] + xg.h * sub[None, :]).ravel(), 1.0)
-    e = np.minimum(np.arange(dense.size) // points_per_element, xg.n - 1)
+    e = np.minimum(np.arange(dense.size) // _RESIDUAL_POINTS, xg.n - 1)
     lam = (dense - xg.nodes[e]) / xg.h
     w = np.pad(-P.values / spec.nu, ((0, 0), (1, 1)))
     worst = 0.0

@@ -96,14 +96,18 @@ def estimate_order(e1: float, e2: float, p1: float, p2: float) -> float:
 # -- exact space-time error --------------------------------------------------
 
 
-def _layout(F) -> tuple:
-    """(x, v, offsets) of a control; a state field enters through its nodal
-    layout, with the zero Dirichlet values at both ends."""
+def _block_layout(F, k: np.ndarray) -> tuple:
+    """The flat layout (x, v, offsets) of slabs k[0]+1..k[-1]+1 of a field,
+    and the nondecreasing 0-based slab indices k relative to it.  A state
+    field enters through its nodal layout, with the zero Dirichlet values at
+    both ends, built for those slabs only."""
+    k0, k1 = int(k[0]), int(k[-1]) + 1
     if isinstance(F, ControlField):
-        return F.x, F.v, F.offsets
-    K, n = F.values.shape[0], F.xgrid.n
-    return (np.tile(F.xgrid.nodes, K), np.pad(F.values, ((0, 0), (1, 1))).ravel(),
-            np.arange(K + 1) * (n + 1))
+        off = F.offsets[k0:k1 + 1]
+        return (F.x[off[0]:off[-1]], F.v[off[0]:off[-1]], off - off[0]), k - k0
+    n = F.xgrid.n
+    return (np.tile(F.xgrid.nodes, k1 - k0), np.pad(F.values[k0:k1], ((0, 0), (1, 1))).ravel(),
+            np.arange(k1 - k0 + 1) * (n + 1)), k - k0
 
 
 def error_l2l2(A, B) -> float:
@@ -130,11 +134,10 @@ def error_l2l2(A, B) -> float:
         d = A.values[ka] - B.values[kb]
         total = float(np.einsum("k,ki,ki->", widths, d, assemble_mass(A.xgrid).apply(d)))
         return math.sqrt(max(0.0, total))
-    la, lb = _layout(A), _layout(B)
     total = 0.0
     for k0 in range(0, widths.size, PANEL):
         ks = slice(k0, k0 + PANEL)
-        x, counts, va, vb = _merge_layouts(la, ka[ks], lb, kb[ks])
+        x, counts, va, vb = _merge_layouts(*_block_layout(A, ka[ks]), *_block_layout(B, kb[ks]))
         d = va - vb
         dl, dr = d[:-1], d[1:]
         # x falls from 1 to 0 between rows: those seams get zero width

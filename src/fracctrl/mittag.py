@@ -505,15 +505,10 @@ class SpectralSolution:
             raise ValueError("eigenvalues must be positive increasing")
 
     @classmethod
-    def from_sine_combo(cls, terms, alpha: float, flavor: str,
-                        k_max: int | None = None) -> "SpectralSolution":
+    def from_sine_combo(cls, terms, alpha: float, flavor: str) -> "SpectralSolution":
         """Build from sum_j c_j sin(k_j pi x); <c sin(k pi x), phi_k> = c/sqrt(2)."""
-        modes = []
-        for k, c in sorted(terms):
-            if k_max is not None and k > k_max:
-                continue
-            modes.append((int(k), (k * math.pi) ** 2, c / math.sqrt(2.0)))
-        return cls(alpha=float(alpha), flavor=flavor, modes=tuple(modes))
+        modes = tuple((int(k), (k * math.pi) ** 2, c / math.sqrt(2.0)) for k, c in sorted(terms))
+        return cls(alpha=float(alpha), flavor=flavor, modes=modes)
 
 
 def spectral_state(sol: SpectralSolution, t, x: np.ndarray) -> np.ndarray:

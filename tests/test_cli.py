@@ -1,3 +1,5 @@
+import pytest
+
 from fracctrl.cli import main
 from fracctrl.harness import clear_solve_cache, read_table_csv
 from fracctrl.problem import default_experiment_spec, to_config_text
@@ -93,3 +95,27 @@ def test_paper_scale_flag_exists():
     help_text = sub.choices["study"].format_help()
     assert "--paper-scale" in help_text
     assert "--theta" in help_text and "--tol" in help_text
+
+
+@pytest.mark.parametrize("argv", [
+    ["forward", "--tol", "1e-9"],
+    ["forward", "--max-iter", "5"],
+    ["forward", "--theta", "0.5"],
+    ["forward", "--format", "text"],
+    ["ocp", "--format", "csv"],
+])
+def test_flag_a_subcommand_does_not_read_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--m", "3", "--n", "8"])
+    assert exc.value.code == 2
+    assert argv[1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("axis, flag", [("spatial", "--m-ref"), ("temporal", "--n-ref")])
+def test_reference_flag_on_the_other_axis_rejected(axis, flag, capsys):
+    clear_solve_cache()
+    rows = (["--m", "3", "--n", "4,8", "--n-ref", "16"] if axis == "spatial"
+            else ["--m", "3,4", "--m-ref", "5", "--n", "8"])
+    rc = main(["study", axis, "--alpha", "0.7", *rows, flag, "99"])
+    assert rc == 2
+    assert flag in capsys.readouterr().err

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fracctrl.control import (FixedPointDiverged, blend_controls, control_loads,
-                              evaluate_cost, fixed_point_solve,
-                              optimality_residual, project_admissible)
+from fracctrl.control import (FixedPointDiverged, control_loads, evaluate_cost,
+                              fixed_point_solve, optimality_residual,
+                              project_admissible)
 from fracctrl.fem import assemble_mass
-from fracctrl.mesh import (build_graded, build_uniform_spatial, default_sigmas,
-                           merge_breakpoints)
+from fracctrl.mesh import build_graded, build_uniform_spatial, default_sigmas
 from fracctrl.problem import (ProblemSpec, SineCombo, TimeConstant, Zero,
                               default_experiment_spec)
 from fracctrl.solver import SpaceTimeField
@@ -24,11 +23,17 @@ def small_instance(alpha=0.8, r=0.0, m=5, n=16):
     return spec, tg, xg
 
 
+def nodal(U):
+    """Interior nodal values of every slab, read at the slab midpoints."""
+    nodes = U.tgrid.nodes
+    return U.sample_lattice(0.5 * (nodes[:-1] + nodes[1:]), U.xgrid.interior)
+
+
 def test_projection_of_zero_costate():
     _, tg, xg = small_instance()
     P0 = SpaceTimeField(tg, xg, np.zeros((tg.num_slabs, xg.num_interior)))
     U = project_admissible(P0, 1.0, -0.1, 0.1)
-    assert not np.any(U.node_samples)
+    assert not np.any(U.v)
     assert U.norm_l2l2_sq() == 0.0
 
 
@@ -107,30 +112,6 @@ def test_loads_against_adaptive_quadrature(rng):
         assert loads[k - 1, i - 1] == pytest.approx(left + right, abs=1e-10)
 
 
-def test_blend_is_convex_combination(rng):
-    _, tg, xg = small_instance(m=3, n=8)
-    Pa = SpaceTimeField(tg, xg, rng.standard_normal((tg.num_slabs, 7)))
-    Pb = SpaceTimeField(tg, xg, rng.standard_normal((tg.num_slabs, 7)))
-    Ua = project_admissible(Pa, 1.0, -0.1, 0.1)
-    Ub = project_admissible(Pb, 1.0, -0.1, 0.1)
-    Uc = blend_controls(Ua, Ub, 0.3, 0.7)
-    xs = np.linspace(0.0, 1.0, 257)
-    for k in (1, tg.num_slabs):
-        want = 0.3 * Ua.evaluate(k, xs) + 0.7 * Ub.evaluate(k, xs)
-        assert np.allclose(Uc.evaluate(k, xs), want, atol=1e-14)
-        assert np.all(Uc.evaluate(k, xs) <= 0.1 + 1e-14)
-
-
-def test_blend_rejects_other_temporal_grid(rng):
-    # same slab count and spatial grid, but graded against uniform nodes
-    xg = build_uniform_spatial(8)
-    Us = [project_admissible(SpaceTimeField(tg, xg, rng.standard_normal((8, 7))),
-                             1.0, -0.1, 0.1)
-          for tg in (build_graded(4, 2.0, 1.0, 1.0), build_graded(4, 1.0, 1.0, 1.0))]
-    with pytest.raises(ValueError):
-        blend_controls(Us[0], Us[1], 0.5, 0.5)
-
-
 def flat_layout_instance(rng):
     # 2M = 160 slabs: the blocked loops cross two block boundaries
     tg = build_graded(80, 2.0, 1.0, 1.0)
@@ -169,32 +150,20 @@ def test_flat_layout_against_per_slab_reference(rng):
     assert Ua.norm_l2l2_sq() == pytest.approx(norm, rel=1e-13, abs=0.0)
 
 
-def test_blend_flat_layout_against_per_slab_merge(rng):
-    tg, xg, Ua, Ub = flat_layout_instance(rng)
-    Uc = blend_controls(Ua, Ub, 0.3, 0.7)
-    Ud = blend_controls(Uc, Ua, 0.6, 0.4)  # a blended layout merged again
-    # breakpoints moved by less than the merge tolerance coalesce, and the
-    # right endpoint stays exact when a point just below it comes first
-    near_x = Ua.x + np.where(np.isin(Ua.x, xg.nodes), 0.0, 3e-15)
-    near_x[Ua.offsets[1] - 2] = 1.0 - 3e-15
-    near = dataclasses.replace(Ua, x=near_x)
-    Ue = blend_controls(Ua, near, 0.5, 0.5)
-    assert np.array_equal(Ue.x, Ua.x)
-    for U, (U1, w1), (U2, w2) in ((Uc, (Ua, 0.3), (Ub, 0.7)), (Ud, (Uc, 0.6), (Ua, 0.4)),
-                                  (Ue, (Ua, 0.5), (near, 0.5))):
-        assert U.offsets[-1] == U.x.size == U.v.size
-        for k in range(tg.num_slabs):
-            (x1, v1), (x2, v2) = U1.pieces[k], U2.pieces[k]
-            xs = merge_breakpoints(x1, x2)
-            want = w1 * np.interp(xs, x1, v1) + w2 * np.interp(xs, x2, v2)
-            got_x, got_v = U.pieces[k]
-            assert np.array_equal(got_x, xs)
-            assert np.allclose(got_v, want, rtol=0.0, atol=1e-15)
+def multi_kink(U, rng, extra=12):
+    """A control on U's grids whose slabs hold `extra` random breakpoints
+    beside the nodes, so that elements carry several kinks, with random
+    values."""
+    K, nodes = U.tgrid.num_slabs, U.xgrid.nodes
+    x = np.concatenate([np.sort(np.concatenate([nodes, rng.uniform(0.0, 1.0, extra)]))
+                        for _ in range(K)])
+    return dataclasses.replace(U, x=x, v=0.1 * rng.standard_normal(x.size),
+                               offsets=np.arange(K + 1) * (nodes.size + extra))
 
 
 def test_evaluate_matches_interp_at_and_beyond_the_ends(rng):
-    tg, xg, Ua, Ub = flat_layout_instance(rng)
-    Uc = blend_controls(Ua, Ub, 0.5, 0.5)
+    tg, xg, Ua, _ = flat_layout_instance(rng)
+    Uc = multi_kink(Ua, rng)
     xs = np.array([-2.0, -1e-300, 0.0, 0.3, 1.0, 1.0 + 1e-15, 7.0])
     for U in (Ua, Uc):
         for k in (1, tg.num_slabs):
@@ -220,7 +189,7 @@ def test_fixed_point_trivial_data():
     xg = build_uniform_spatial(8)
     U, Y, P, rep = fixed_point_solve(spec0, tg, xg)
     assert rep.iterations == 1
-    assert not np.any(U.node_samples) and not np.any(Y.values) and not np.any(P.values)
+    assert not np.any(U.v) and not np.any(Y.values) and not np.any(P.values)
     assert rep.total == 0.0
 
 
@@ -231,7 +200,7 @@ def test_fixed_point_reference_instance():
     assert rep.iterations <= 200
     hist = rep.cost_history
     assert all(a >= b - 1e-14 for a, b in zip(hist, hist[1:]))
-    assert np.all(U.node_samples >= spec.u_lo) and np.all(U.node_samples <= spec.u_hi)
+    assert np.all(nodal(U) >= spec.u_lo) and np.all(nodal(U) <= spec.u_hi)
 
 
 def test_fixed_point_unconstrained_stationarity():
@@ -252,7 +221,26 @@ def test_fixed_point_damped_matches_undamped():
     U1, _, _, r1 = fixed_point_solve(spec, tg, xg, theta=1.0)
     U2, _, _, r2 = fixed_point_solve(spec, tg, xg, theta=0.7)
     assert r2.iterations >= r1.iterations
-    assert np.allclose(U1.node_samples, U2.node_samples, atol=1e-11)
+    assert np.allclose(nodal(U1), nodal(U2), atol=1e-11)
+
+
+def test_stopping_rule_sees_the_kinks():
+    # at nu = 0.01 every node ends up clamped, so nodal samples stop moving
+    # after two iterations while the kinks between the nodes still move
+    spec0, tg, xg = small_instance(alpha=0.4, m=6, n=32)
+    spec = dataclasses.replace(spec0, nu=0.01)
+    U, Y, P, rep = fixed_point_solve(spec, tg, xg)
+    assert optimality_residual(U, Y, P, spec) <= 1e-12
+
+
+def test_damped_solve_keeps_the_kinks_of_one_projection():
+    spec, tg, xg = small_instance(m=6, n=32)
+    U1, _, _, r1 = fixed_point_solve(spec, tg, xg)
+    U2, _, _, r2 = fixed_point_solve(spec, tg, xg, theta=0.6)
+    nodes = tg.num_slabs * (xg.n + 1)
+    assert U1.x.size - nodes == 86
+    assert U2.x.size == U1.x.size
+    assert r2.total == pytest.approx(r1.total, rel=1e-14, abs=0.0)
 
 
 def test_fixed_point_iteration_cap():
@@ -268,7 +256,7 @@ def test_fixed_point_extra_iteration_stays_put():
     tol = 1e-13
     U, Y, P, rep = fixed_point_solve(spec, tg, xg, tol=tol)
     U_next = project_admissible(P, spec.nu, spec.u_lo, spec.u_hi)
-    move = float(np.sqrt(np.sum((U_next.node_samples - U.node_samples) ** 2)))
+    move = float(np.sqrt(np.sum((nodal(U_next) - nodal(U)) ** 2)))
     assert move < 10.0 * tol
 
 
@@ -313,10 +301,10 @@ def test_minimizer_beats_random_admissible(rng):
     B = assemble_coupling(tg, spec.alpha)
     mom = source_moments(tg, spec.alpha)
     y0p = l2_project(xg, spec.y0)
+    u = nodal(U)
     for _ in range(20):
-        V = SpaceTimeField(tg, xg, np.clip(
-            U.node_samples + 0.05 * rng.standard_normal(U.node_samples.shape),
-            spec.u_lo, spec.u_hi))
+        V = SpaceTimeField(tg, xg, np.clip(u + 0.05 * rng.standard_normal(u.shape),
+                                           spec.u_lo, spec.u_hi))
         Yv = apply_forward(B, mass, stiff, state_source(V, y0p, mom, mass))
         assert rep.total <= evaluate_cost(V, Yv, spec).total + 1e-14
 
@@ -336,7 +324,7 @@ def test_unconstrained_linearity(rng):
 
     U1, Y1, P1, _ = solve_scaled(1.0)
     U2, Y2, P2, _ = solve_scaled(lam)
-    assert np.allclose(U2.node_samples, lam * U1.node_samples, rtol=1e-9, atol=1e-12)
+    assert np.allclose(nodal(U2), lam * nodal(U1), rtol=1e-9, atol=1e-12)
     assert np.allclose(Y2.values, lam * Y1.values, rtol=1e-9, atol=1e-12)
     assert np.allclose(P2.values, lam * P1.values, rtol=1e-9, atol=1e-12)
 

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from fracctrl.control import ControlField, project_admissible
+from fracctrl.control import ControlField, _merge_layouts, project_admissible
 from fracctrl.harness import (ConvergenceTable, ExperimentConfig,
                               clear_solve_cache, emit_table, error_l2l2,
                               estimate_order, forward_single_mode_error,
@@ -179,6 +180,46 @@ def test_error_across_both_grids_matches_per_slab_reference(rng):
     Ub = project_admissible(Y, 1.0, 0.02, 0.2)  # nonzero at x = 0 and x = 1
     assert Ua.x.size > tg1.num_slabs * 8 and Ub.x.size > tg2.num_slabs * 13  # kinks
     for A, B in ((Ua, Ub), (Ub, Ua), (Ua, Y), (Y, Ua)):
+        assert error_l2l2(A, B) == pytest.approx(per_slab_error(A, B), rel=1e-13, abs=0.0)
+
+
+def per_slab_blend(U1, U2, w1, w2):
+    """w1 U1 + w2 U2 on the breakpoints that merge_breakpoints gives per slab."""
+    rows = []
+    for (x1, v1), (x2, v2) in zip(U1.pieces, U2.pieces):
+        xs = merge_breakpoints(x1, x2)
+        rows.append((xs, w1 * np.interp(xs, x1, v1) + w2 * np.interp(xs, x2, v2)))
+    xs, vs = (np.concatenate(col) for col in zip(*rows))
+    offsets = np.concatenate(([0], np.cumsum([row[0].size for row in rows])))
+    return dataclasses.replace(U1, x=xs, v=vs, offsets=offsets)
+
+
+def test_error_merges_rows_like_merge_breakpoints(rng):
+    # 2M = 160 slabs: the kernel's blocks of PANEL merged slabs cross two
+    # block boundaries
+    tg = build_graded(80, 2.0, 1.0, 1.0)
+    xg = build_uniform_spatial(8)
+    Ua, Ub = (project_admissible(make_field(tg, xg, rng, 0.3), 1.0, -0.1, 0.1)
+              for _ in range(2))
+    # breakpoints moved by less than the merge tolerance coalesce, and the
+    # right endpoint stays exact when a point just below it comes first
+    near_x = Ua.x + np.where(np.isin(Ua.x, xg.nodes), 0.0, 3e-15)
+    near_x[Ua.offsets[1] - 2] = 1.0 - 3e-15
+    near = dataclasses.replace(Ua, x=near_x, v=Ua.v[::-1])
+    merged = per_slab_blend(Ua, Ub, 0.3, 0.7)  # a merged layout, merged again below
+    ks = np.arange(tg.num_slabs)
+    for A, B in ((Ua, near), (near, Ua), (merged, Ua), (Ub, merged)):
+        x, counts, va, vb = _merge_layouts((A.x, A.v, A.offsets), ks, (B.x, B.v, B.offsets), ks)
+        assert counts.sum() == x.size == va.size == vb.size
+        start = 0
+        for (xa, fa), (xb, fb), c in zip(A.pieces, B.pieces, counts):
+            xs = merge_breakpoints(xa, xb)
+            assert np.array_equal(x[start:start + c], xs)
+            assert np.allclose(va[start:start + c], np.interp(xs, xa, fa), rtol=0.0, atol=1e-15)
+            assert np.allclose(vb[start:start + c], np.interp(xs, xb, fb), rtol=0.0, atol=1e-15)
+            start += c
+        if A is near or B is near:
+            assert np.array_equal(x, Ua.x)
         assert error_l2l2(A, B) == pytest.approx(per_slab_error(A, B), rel=1e-13, abs=0.0)
 
 

@@ -311,8 +311,3 @@ def test_spectral_state_array_of_times():
     with pytest.raises(ValueError):
         spectral_state(sol, np.array([0.5, -0.1]), x)
 
-
-def test_spectral_truncation():
-    sol = SpectralSolution.from_sine_combo(((1, 1.0), (300, 1.0)), 0.5,
-                                           "homogeneous", k_max=200)
-    assert len(sol.modes) == 1
