@@ -1,11 +1,11 @@
 """Implicitly discretized control, cost evaluation, and the fixed-point loop.
 
-The control is never a mesh function: it is the pointwise projection of
--P/nu onto the admissible box, which on each spatial element is a clamped
-linear function.  Each slab therefore carries an exact piecewise-linear
-description whose breakpoints are the element nodes plus the abscissae
-where -P/nu crosses a bound; one flat layout holds all slabs.  All inner
-products (loads, norms, errors) integrate this description exactly: the
+The control is never a mesh function: it is U = clamp(w), the pointwise
+projection of the nodal function w = -Q/nu onto the admissible box
+(variational discretization).  `ControlField` stores w alone.  On each
+spatial element U is the clamp of a linear function: linear, or kinked at
+the one or two points where w strictly crosses a bound.  One table of those
+crossings per control lets loads, norms and errors integrate U exactly: the
 scheme has no consistency error beyond the discretization itself.
 """
 
@@ -35,7 +35,6 @@ __all__ = [
     "evaluate_cost",
 ]
 
-_INV_SQRT3 = 1.0 / math.sqrt(3.0)
 # sample points per element at which optimality_residual compares U
 _RESIDUAL_POINTS = 9
 
@@ -56,41 +55,54 @@ class FixedPointDiverged(RuntimeError):
             f"too small for plain iteration, retry with damping theta < 1")
 
 
-def _slab_ids(offsets: np.ndarray, k0: int, k1: int) -> np.ndarray:
-    """0-based slab index of every breakpoint of slabs k0..k1-1."""
-    return np.repeat(np.arange(k0, k1), np.diff(offsets[k0:k1 + 1]))
-
-
-def _keys(k, x) -> np.ndarray:
-    """Exact (slab, x) keys; numpy sorts complex numbers lexicographically."""
-    z = np.empty(np.broadcast(k, x).shape, dtype=complex)
-    z.real, z.imag = k, x
-    return z
-
-
 @dataclass(frozen=True)
 class ControlField:
-    """Slabwise exact piecewise-linear control in one flat layout.
+    """The control clamp(w) on every slab, from the nodal values w.
 
-    Slab k+1 has breakpoints ``x[offsets[k]:offsets[k+1]]`` covering [0, 1]
-    and containing every element node and every bound crossing, with values
-    ``v`` at the same positions.
+    ``w`` has one row of n+1 nodal values per slab, the zero Dirichlet ends
+    included, unclamped; slab k+1 carries the clamp onto [u_lo, u_hi] of the
+    linear interpolant of ``w[k]``.
     """
 
     tgrid: TemporalGrid
     xgrid: SpatialGrid
-    nu: float
     u_lo: float
     u_hi: float
-    x: np.ndarray = field(repr=False)
-    v: np.ndarray = field(repr=False)
-    offsets: np.ndarray = field(repr=False)
+    w: np.ndarray = field(repr=False)
+
+    @cached_property
+    def _kinks(self) -> tuple:
+        """(slab, element, local cut s in [0, 1], bound) of every point where
+        w strictly crosses a bound, ordered by slab, element and s."""
+        w, cols = self.w, []
+        for b in (self.u_lo, self.u_hi):  # an infinite bound has no sign change
+            k, e = np.nonzero((w[:, :-1] - b) * (w[:, 1:] - b) < 0.0)
+            wl = w[k, e]
+            cols.append((k, e, (b - wl) / (w[k, e + 1] - wl), np.full(k.size, b)))
+        k, e, s, b = map(np.concatenate, zip(*cols))
+        order = np.lexsort((s, e, k))
+        return k[order], e[order], s[order], b[order]
+
+    def layout(self, k0: int, k1: int) -> tuple:
+        """The flat layout (x, v, offsets) of slabs k0+1..k1: each slab's
+        breakpoints are the element nodes and the cuts in x order, with the
+        control's values there; offsets start from 0."""
+        k, e, s, b = self._kinks
+        i0, i1 = np.searchsorted(k, (k0, k1))
+        k, e, s, b = k[i0:i1] - k0, e[i0:i1], s[i0:i1], b[i0:i1]
+        xg, n = self.xgrid, self.xgrid.n
+        at = k * (n + 1) + e + 1  # right after the element's left node
+        x = np.insert(np.tile(xg.nodes, k1 - k0), at, xg.nodes[e] + xg.h * s)
+        v = np.insert(np.clip(self.w[k0:k1], self.u_lo, self.u_hi).ravel(), at, b)
+        offsets = np.concatenate(([0], np.cumsum(n + 1 + np.bincount(k, minlength=k1 - k0))))
+        return x, v, offsets
 
     @cached_property
     def pieces(self) -> tuple:
-        """Per-slab (breakpoints, values) views of the flat layout."""
-        cuts = self.offsets[1:-1]
-        return tuple(zip(np.split(self.x, cuts), np.split(self.v, cuts)))
+        """Per-slab (breakpoints, values) views of the layout of all slabs."""
+        x, v, offsets = self.layout(0, self.tgrid.num_slabs)
+        cuts = offsets[1:-1]
+        return tuple(zip(np.split(x, cuts), np.split(v, cuts)))
 
     def evaluate(self, k: int, x) -> np.ndarray:
         """Values of slab k (1-indexed) at abscissae x."""
@@ -99,12 +111,17 @@ class ControlField:
         return self._values_at(k - 1, x)
 
     def spatial_loads(self) -> np.ndarray:
-        return control_loads(self, self.xgrid)
+        return control_loads(self)
 
     def norm_l2l2_sq(self) -> float:
-        """Exact squared norm over space-time (quadratic per piece)."""
-        return sum(float((self.tgrid.widths[slab] * (q - p)) @ (vp * vp + vp * vq + vq * vq))
-                   for slab, p, q, vp, vq in _block_pieces(self)) / 3.0
+        """Exact squared norm over space-time: sum_k tau_k c_k^T M c_k for
+        the nodal clamp c, plus int U^2 - (I_h U)^2 on the kinked elements."""
+        c = np.clip(self.w, self.u_lo, self.u_hi)
+        cl, cr = c[:, :-1], c[:, 1:]
+        nodal = np.einsum("ke,ke->k", cl, cl + cr) + np.einsum("ke,ke->k", cr, cr)
+        k, _, s, u, iu = _kinked_elements(self)
+        kinked = float(self.tgrid.widths[k] @ _simpson(s, u - iu, u + iu))
+        return self.xgrid.h * (float(self.tgrid.widths @ nodal) / 3.0 + kinked)
 
     def sample_lattice(self, ts, xs) -> np.ndarray:
         """Values on a (t, x) lattice; piecewise constant in t."""
@@ -112,20 +129,41 @@ class ControlField:
         return self._values_at(np.clip(ks, 0, self.tgrid.num_slabs - 1)[:, None], xs)
 
     def _values_at(self, k, x) -> np.ndarray:
-        """np.interp of slab k+1 at x for broadcast arrays k (0-based) and x."""
+        """clip(np.interp(x, nodes, w[k]), u_lo, u_hi) for broadcast arrays k
+        (0-based) and x."""
         k, x = np.broadcast_arrays(np.asarray(k), np.asarray(x, dtype=float))
-        off = self.offsets
-        k0, k1 = int(k.min()), int(k.max()) + 1
-        keys = _keys(_slab_ids(off, k0, k1), self.x[off[k0]:off[k1]])
-        j = np.searchsorted(keys, _keys(k, x), side="right") - 1 + off[k0]
-        j = np.clip(j, off[k], off[k + 1] - 2)  # left end of a piece of slab k
-        return _lerp(self.x, self.v, j, x)
+        nodes = self.xgrid.nodes
+        e = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, self.xgrid.n - 1)
+        vals = _lerp(nodes[e], nodes[e + 1], self.w[k, e], self.w[k, e + 1], x)
+        return np.clip(vals, self.u_lo, self.u_hi)
 
 
-def _lerp(xs: np.ndarray, vs: np.ndarray, j, x) -> np.ndarray:
-    """Values at x on the pieces j..j+1 of a flat layout, as np.interp
+def _kinked_elements(U: ControlField) -> tuple:
+    """(slab, element, s, u, iu) of every kinked element: rows of the local
+    abscissae [0, s1, s2, 1] (s1 = s2 for one cut), the control there, and
+    the interpolant I_h U of its nodal values there.  U - I_h U is linear
+    between the columns and zero at both nodes."""
+    k, e, s, b = U._kinks
+    key = k * U.xgrid.n + e
+    first, last = np.flatnonzero(np.diff(key, prepend=-1)), np.flatnonzero(np.diff(key, append=-1))
+    k, e = k[first], e[first]
+    c = np.clip(U.w[k[:, None], e[:, None] + (0, 1)], U.u_lo, U.u_hi)
+    s = np.column_stack((np.zeros(k.size), s[first], s[last], np.ones(k.size)))
+    u = np.column_stack((c[:, 0], b[first], b[last], c[:, 1]))
+    return k, e, s, u, c[:, :1] * (1.0 - s) + c[:, 1:] * s
+
+
+def _simpson(s: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """int f g over each row for f and g linear between the columns of s,
+    by Simpson's rule per piece: exact for the quadratic product."""
+    fm, gm = 0.5 * (f[:, :-1] + f[:, 1:]), 0.5 * (g[:, :-1] + g[:, 1:])
+    return np.sum(np.diff(s, axis=1) / 6.0
+                  * (f[:, :-1] * g[:, :-1] + 4.0 * fm * gm + f[:, 1:] * g[:, 1:]), axis=1)
+
+
+def _lerp(xl, xr, vl, vr, x) -> np.ndarray:
+    """Values at x on the pieces from (xl, vl) to (xr, vr), as np.interp
     forms them; exact at both ends of a piece, also of a zero-width one."""
-    xl, xr, vl, vr = xs[j], xs[j + 1], vs[j], vs[j + 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         inside = (vr - vl) / (xr - xl) * (x - xl) + vl
     return np.where(x >= xr, vr, np.where(x <= xl, vl, inside))
@@ -155,67 +193,35 @@ def _merge_layouts(a: tuple, ka: np.ndarray, b: tuple, kb: np.ndarray) -> tuple:
     vals = []
     for (xs, vs, _), row, own in zip((a, b), rows, (from_a, ~from_a)):
         piece = np.clip(np.cumsum(own, axis=1) - 1, 0, row[:, -1:] - row[:, :1] - 1)
-        vals.append(_lerp(xs, vs, (row[:, :1] + piece)[keep], x))
+        j = (row[:, :1] + piece)[keep]
+        vals.append(_lerp(xs[j], xs[j + 1], vs[j], vs[j + 1], x))
     return x, counts, vals[0], vals[1]
 
 
-def _block_pieces(U: ControlField):
-    """(slab, p, q, vp, vq) of every positive-width piece, PANEL slabs at a
-    time; the width filter also drops the seam where x falls from 1 to 0."""
-    K, off = U.tgrid.num_slabs, U.offsets
-    for k0 in range(0, K, PANEL):
-        k1 = min(k0 + PANEL, K)
-        x, v = U.x[off[k0]:off[k1]], U.v[off[k0]:off[k1]]
-        keep = x[1:] > x[:-1]
-        yield (_slab_ids(off, k0, k1)[:-1][keep], x[:-1][keep], x[1:][keep],
-               v[:-1][keep], v[1:][keep])
-
-
 def project_admissible(P: SpaceTimeField, nu: float, u_lo: float, u_hi: float) -> ControlField:
-    """U = clamp(-P/nu) with exact bound-crossing abscissae per element."""
+    """U = clamp(-P/nu), with the zero Dirichlet nodes of P."""
     if not u_lo < u_hi:
         raise ValueError(f"bounds must satisfy u_lo < u_hi, got ({u_lo}, {u_hi})")
-    xg, K, n = P.xgrid, P.tgrid.num_slabs, P.xgrid.n
-    w = np.pad(-P.values / nu, ((0, 0), (1, 1)))  # with the Dirichlet nodes
-    at, cx, cv = [], [], []
-    for b in (u_lo, u_hi):  # an infinite bound has no sign change
-        ks, es = np.nonzero((w[:, :-1] - b) * (w[:, 1:] - b) < 0.0)
-        at.append(ks * (n + 1) + es + 1)  # right after the element's left node
-        cx.append(xg.nodes[es] + xg.h * (b - w[ks, es]) / (w[ks, es + 1] - w[ks, es]))
-        cv.append(np.full(ks.size, b))
-    at, cx, cv = map(np.concatenate, (at, cx, cv))
-    order = np.lexsort((cx, at))  # both crossings of one element in x order
-    x = np.insert(np.tile(xg.nodes, K), at[order], cx[order])
-    np.clip(w, u_lo, u_hi, out=w)
-    v = np.insert(w.ravel(), at[order], cv[order])
-    offsets = np.concatenate(([0], np.cumsum(n + 1 + np.bincount(at // (n + 1), minlength=K))))
-    return ControlField(P.tgrid, xg, nu, u_lo, u_hi, x, v, offsets)
+    return ControlField(P.tgrid, P.xgrid, u_lo, u_hi, np.pad(-P.values / nu, ((0, 0), (1, 1))))
 
 
-def control_loads(U: ControlField, grid: SpatialGrid) -> np.ndarray:
-    """Exact per-slab loads int U phi_i dx.
+def control_loads(U: ControlField) -> np.ndarray:
+    """Exact per-slab loads int U phi_i dx of the interior hats.
 
-    Every piece lies inside one element, U and phi_i are linear there, so
-    two-point Gauss integrates the quadratic product exactly.
+    The mass action on the nodal clamp c, plus the loads of U - I_h U on the
+    kinked elements: linear between the cuts and zero at both nodes, so
+    Simpson's rule integrates it against a hat exactly.
     """
-    if grid.n != U.xgrid.n:
-        raise ValueError("grid mismatch between control and load request")
-    n, h = grid.n, grid.h
-    out = np.zeros(U.tgrid.num_slabs * (n + 1))  # every node, boundary included
-    for slab, p, q, vp, vq in _block_pieces(U):
-        mid = 0.5 * (p + q)
-        half = 0.5 * (q - p)
-        e = np.clip((mid / h).astype(int), 0, n - 1)
-        xl = grid.nodes[e]
-        left = slab * (n + 1) + e  # flat index of the element's left node
-        for off in (-_INV_SQRT3, _INV_SQRT3):
-            xg_ = mid + off * half
-            ug = vp + (vq - vp) * (0.5 + 0.5 * off)
-            rising = (xg_ - xl) / h
-            contrib = half * ug  # Gauss weight = half per point
-            np.add.at(out, left + 1, contrib * rising)
-            np.add.at(out, left, contrib * (1.0 - rising))
-    return out.reshape(-1, n + 1)[:, 1:-1]
+    xg = U.xgrid
+    c = np.clip(U.w, U.u_lo, U.u_hi)
+    out = np.zeros_like(c)
+    out[:, 1:-1] = assemble_mass(xg).apply(c[:, 1:-1])
+    out[:, 1] += xg.h / 6.0 * c[:, 0]  # the ends are nonzero when the box excludes 0
+    out[:, -2] += xg.h / 6.0 * c[:, -1]
+    k, e, s, u, iu = _kinked_elements(U)
+    out[k, e] += xg.h * _simpson(s, u - iu, 1.0 - s)  # (slab, element) pairs are unique
+    out[k, e + 1] += xg.h * _simpson(s, u - iu, s)
+    return out[:, 1:-1]
 
 
 @dataclass(frozen=True)
@@ -274,7 +280,7 @@ def fixed_point_solve(spec: ProblemSpec, tgrid: TemporalGrid, xgrid: SpatialGrid
     moments = source_moments(tgrid, spec.alpha)
     y0_proj = l2_project(xgrid, spec.y0)
 
-    u_init = 0.0 if spec.u_lo <= 0.0 <= spec.u_hi else 0.5 * (spec.u_lo + spec.u_hi)
+    u_init = min(max(0.0, spec.u_lo), spec.u_hi)  # finite for a one-sided box
     Q = np.full((tgrid.num_slabs, xgrid.num_interior), -spec.nu * u_init)
     history = []
     increment = math.inf

@@ -103,8 +103,7 @@ def _block_layout(F, k: np.ndarray) -> tuple:
     both ends, built for those slabs only."""
     k0, k1 = int(k[0]), int(k[-1]) + 1
     if isinstance(F, ControlField):
-        off = F.offsets[k0:k1 + 1]
-        return (F.x[off[0]:off[-1]], F.v[off[0]:off[-1]], off - off[0]), k - k0
+        return F.layout(k0, k1), k - k0
     n = F.xgrid.n
     return (np.tile(F.xgrid.nodes, k1 - k0), np.pad(F.values[k0:k1], ((0, 0), (1, 1))).ravel(),
             np.arange(k1 - k0 + 1) * (n + 1)), k - k0

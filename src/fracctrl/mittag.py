@@ -41,9 +41,10 @@ truncated at its smallest term is accurate far beyond double precision, so:
     only when the result lies so far below 1 that the digits left after
     cancellation no longer certify 1e-13 plus a guard for rounding growth
     over the term count;
-  * |z| >  Z0: asymptotic expansion, accepted when its smallest-term error
-    estimate certifies 1e-13; in the narrow band just above Z0 where it
-    cannot, the extended-precision series takes over.
+  * |z| >  Z0: asymptotic expansion, accepted when its error estimate
+    certifies 1e-13.  The sum is truncated on an envelope of its terms that
+    does not dip near the poles of Gamma (see `_asymptotic`); where the
+    estimate cannot certify, the extended-precision series takes over.
 
 Z0(b) is calibrated empirically (table below) so that the raw asymptotic
 value already agrees with the certified series to ~1e-11 at Z0/2; a flat
@@ -115,43 +116,35 @@ def _sinpi(x: float) -> float:
 
 
 def _asymptotic(beta: float, gamma_: float, z: float) -> tuple[float, float]:
-    """Smallest-term truncated asymptotic value and its relative error
-    estimate.  Terms hitting poles of Gamma(g - k b) vanish; terms merely
-    near a pole are kept but excluded from the truncation envelope, since
-    their spuriously tiny magnitudes would stop the sum prematurely."""
+    """Truncated asymptotic value and its relative error estimate.
+
+    The sum runs on the envelope t^-k Gamma(1 - a) / pi of the k-th term,
+    a = g - k b, when a < 1/2 (the reflection bound on |1/Gamma(a)|) and
+    t^-k / Gamma(a) above.  A term that is small only because a sits near a
+    pole of Gamma therefore does not stop the sum.  It stops once the
+    envelope falls below 1e-17 |sum|, or before the envelope grows; the
+    estimate is the last envelope over |sum|."""
     t = -z
     lt = math.log(t)
     s = 0.0
-    prev = math.inf
-    smallest = math.inf
-    k = 1
-    while k < 10000:
-        x = gamma_ - k * beta
-        if x > 0.5:
-            mag = math.exp(-k * lt - math.lgamma(x))
-            sign = 1.0
-            generic = True
+    env = math.inf
+    for k in range(1, 10000):
+        a = gamma_ - k * beta
+        if a > 0.5:
+            lenv = -k * lt - math.lgamma(a)
+            scale = 1.0
         else:
-            sp = _sinpi(x)
-            if sp == 0.0:
-                k += 1
-                continue
-            lmag = -k * lt + math.lgamma(1.0 - x) - math.log(math.pi) + math.log(abs(sp))
-            if lmag > 690.0:
-                break
-            mag = math.exp(lmag)
-            sign = 1.0 if sp > 0.0 else -1.0
-            generic = abs(sp) >= 1e-8
-        if generic:
-            if mag >= prev:
-                break
-            prev = mag
-            smallest = mag
-        s += ((-1.0) ** (k + 1)) * sign * mag
-        k += 1
+            lenv = -k * lt + math.lgamma(1.0 - a) - math.log(math.pi)
+            scale = _sinpi(a)  # 1/Gamma(a) = sin(pi a) Gamma(1 - a) / pi
+        if lenv > 690.0 or math.exp(lenv) >= env:
+            break
+        env = math.exp(lenv)
+        s += (-1.0) ** (k + 1) * scale * env
+        if env < 1e-17 * abs(s):
+            break
     if s == 0.0:
         return 0.0, math.inf
-    return s, smallest / abs(s)
+    return s, env / abs(s)
 
 
 def _past_peak_arg(beta: float, z: float) -> float:

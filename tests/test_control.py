@@ -29,11 +29,16 @@ def nodal(U):
     return U.sample_lattice(0.5 * (nodes[:-1] + nodes[1:]), U.xgrid.interior)
 
 
+def kink_count(U):
+    """Breakpoints of a control's layout beyond its element nodes."""
+    return sum(xs.size for xs, _ in U.pieces) - U.tgrid.num_slabs * (U.xgrid.n + 1)
+
+
 def test_projection_of_zero_costate():
     _, tg, xg = small_instance()
     P0 = SpaceTimeField(tg, xg, np.zeros((tg.num_slabs, xg.num_interior)))
     U = project_admissible(P0, 1.0, -0.1, 0.1)
-    assert not np.any(U.v)
+    assert not np.any(U.w) and kink_count(U) == 0
     assert U.norm_l2l2_sq() == 0.0
 
 
@@ -77,8 +82,8 @@ def test_loads_unconstrained_match_mass_action(rng):
     nu = 2.0
     U = project_admissible(P, nu, -math.inf, math.inf)
     mass = assemble_mass(xg)
-    want = -mass.apply(P.values) / nu
-    assert np.allclose(control_loads(U, xg), want, atol=1e-14)
+    assert np.array_equal(control_loads(U), mass.apply(U.w[:, 1:-1]))
+    assert np.allclose(control_loads(U), -mass.apply(P.values) / nu, atol=1e-14)
 
 
 def test_loads_saturated_constant():
@@ -88,14 +93,14 @@ def test_loads_saturated_constant():
     # hats integrate to h inside, h/2 halves at the boundary-adjacent dofs...
     # exact loads of the constant 0.1 against interior hats are 0.1*h
     want = np.full(7, 0.1 * xg.h)
-    assert np.allclose(control_loads(U, xg), want, rtol=1e-13)
+    assert np.allclose(control_loads(U), want, rtol=1e-13)
 
 
 def test_loads_against_adaptive_quadrature(rng):
     _, tg, xg = small_instance(m=2, n=6)
     P = SpaceTimeField(tg, xg, 0.25 * rng.standard_normal((tg.num_slabs, 5)))
     U = project_admissible(P, 1.0, -0.1, 0.1)
-    loads = control_loads(U, xg)
+    loads = control_loads(U)
     k = 2
     w = np.zeros(xg.n + 1)
     w[1:-1] = -P.values[k - 1]
@@ -113,12 +118,11 @@ def test_loads_against_adaptive_quadrature(rng):
 
 
 def flat_layout_instance(rng):
-    # 2M = 160 slabs: the blocked loops cross two block boundaries
+    # 2M = 160 slabs of a control with kinks
     tg = build_graded(80, 2.0, 1.0, 1.0)
     xg = build_uniform_spatial(8)
-    Ua, Ub = (project_admissible(SpaceTimeField(tg, xg, 0.3 * rng.standard_normal((160, 7))),
-                                 1.0, -0.1, 0.1) for _ in range(2))
-    return tg, xg, Ua, Ub
+    return tg, xg, project_admissible(
+        SpaceTimeField(tg, xg, 0.3 * rng.standard_normal((160, 7))), 1.0, -0.1, 0.1)
 
 
 def simpson_pieces(xs, f):
@@ -127,48 +131,70 @@ def simpson_pieces(xs, f):
     return np.sum((b - a) / 6.0 * (f(a) + 4.0 * f(0.5 * (a + b)) + f(b)))
 
 
-def test_flat_layout_against_per_slab_reference(rng):
-    tg, xg, Ua, Ub = flat_layout_instance(rng)
-    loads = control_loads(Ua, xg)
-    norm = 0.0
-    for k in range(tg.num_slabs):
-        xs = np.linspace(0.0, 1.0, xg.n + 1)
-        # the breakpoints hold every node and run from 0 to 1 in order
-        xb, vb = Ua.pieces[k]
-        assert np.all(np.isin(xs, xb)) and np.all(np.diff(xb) >= 0.0)
-        assert xb[0] == 0.0 and xb[-1] == 1.0
+def per_slab_reference(U):
+    """Loads and squared norm of U slab by slab: the breakpoints are the
+    nodes and the bound crossings of w found element by element, and
+    Simpson's rule on each piece is exact for U times a hat and for U^2."""
+    nodes, h = U.xgrid.nodes, U.xgrid.h
+    loads, norm = np.zeros((U.tgrid.num_slabs, U.xgrid.n - 1)), 0.0
+    for k, w in enumerate(U.w):
+        cuts = [nodes[e] + h * (b - w[e]) / (w[e + 1] - w[e])
+                for e in range(U.xgrid.n) for b in (U.u_lo, U.u_hi)
+                if (w[e] - b) * (w[e + 1] - b) < 0.0]
+        xb = np.sort(np.concatenate([nodes, cuts]))
 
-        def u(x, xb=xb, vb=vb):
-            return np.interp(x, xb, vb)
+        def u(x, w=w):
+            return np.clip(np.interp(x, nodes, w), U.u_lo, U.u_hi)
 
-        for i in range(1, xg.n):
-            hat = np.zeros(xg.n + 1)
+        for i in range(1, U.xgrid.n):
+            hat = np.zeros(U.xgrid.n + 1)
             hat[i] = 1.0
-            want = simpson_pieces(xb, lambda x: u(x) * np.interp(x, xs, hat))
-            assert loads[k, i - 1] == pytest.approx(want, abs=1e-15)
-        norm += tg.widths[k] * simpson_pieces(xb, lambda x: u(x) ** 2)
-    assert Ua.norm_l2l2_sq() == pytest.approx(norm, rel=1e-13, abs=0.0)
+            loads[k, i - 1] = simpson_pieces(xb, lambda x: u(x) * np.interp(x, nodes, hat))
+        norm += U.tgrid.widths[k] * simpson_pieces(xb, lambda x: u(x) ** 2)
+    return loads, norm
 
 
-def multi_kink(U, rng, extra=12):
-    """A control on U's grids whose slabs hold `extra` random breakpoints
-    beside the nodes, so that elements carry several kinks, with random
-    values."""
-    K, nodes = U.tgrid.num_slabs, U.xgrid.nodes
-    x = np.concatenate([np.sort(np.concatenate([nodes, rng.uniform(0.0, 1.0, extra)]))
-                        for _ in range(K)])
-    return dataclasses.replace(U, x=x, v=0.1 * rng.standard_normal(x.size),
-                               offsets=np.arange(K + 1) * (nodes.size + extra))
+def test_flat_layout_against_per_slab_reference(rng):
+    _, _, Ua = flat_layout_instance(rng)
+    # steep rows cross both bounds inside one element, and a third of the
+    # nodes sit exactly on a bound, where U has no kink inside an element
+    tg = build_graded(8, 2.0, 1.0, 1.0)
+    xg = build_uniform_spatial(8)
+    vals = 3.0 * rng.standard_normal((tg.num_slabs, 7))
+    on_bound = rng.random(vals.shape) < 0.35
+    vals[on_bound] = rng.choice([-0.1, 0.1], size=on_bound.sum())
+    steep = [project_admissible(SpaceTimeField(tg, xg, -vals), 1.0, lo, hi)
+             for lo, hi in ((-0.1, 0.1), (0.02, 0.2), (-math.inf, 0.1))]
+    w = steep[0].w
+    assert np.sum(((w[:, :-1] + 0.1) * (w[:, 1:] + 0.1) < 0.0)
+                  & ((w[:, :-1] - 0.1) * (w[:, 1:] - 0.1) < 0.0)) >= 10
+    for U in [Ua] + steep:
+        nodes = U.xgrid.nodes
+        for (xb, vb), w in zip(U.pieces, U.w):
+            # the breakpoints hold every node and run from 0 to 1 in order,
+            # with the values of U there
+            assert np.all(np.isin(nodes, xb)) and np.all(np.diff(xb) >= 0.0)
+            assert xb[0] == 0.0 and xb[-1] == 1.0
+            want = np.clip(np.interp(xb, nodes, w), U.u_lo, U.u_hi)
+            assert np.allclose(vb, want, rtol=0.0, atol=1e-13)
+        loads, norm = per_slab_reference(U)
+        assert np.allclose(control_loads(U), loads, rtol=0.0, atol=1e-15)
+        assert U.norm_l2l2_sq() == pytest.approx(norm, rel=1e-13, abs=0.0)
 
 
 def test_evaluate_matches_interp_at_and_beyond_the_ends(rng):
-    tg, xg, Ua, _ = flat_layout_instance(rng)
-    Uc = multi_kink(Ua, rng)
-    xs = np.array([-2.0, -1e-300, 0.0, 0.3, 1.0, 1.0 + 1e-15, 7.0])
-    for U in (Ua, Uc):
+    tg, xg, Ua = flat_layout_instance(rng)
+    Ub = project_admissible(SpaceTimeField(tg, xg, rng.standard_normal((160, 7))),
+                            1.0, 0.02, 0.2)  # nonzero at and beyond both ends
+    xs = np.array([-2.0, -1e-300, 0.0, 0.3, 1.0 / 8.0, 1.0, 1.0 + 1e-15, 7.0])
+    for U in (Ua, Ub):
         for k in (1, tg.num_slabs):
-            xb, vb = U.pieces[k - 1]
-            assert np.array_equal(U.evaluate(k, xs), np.interp(xs, xb, vb))
+            want = np.clip(np.interp(xs, xg.nodes, U.w[k - 1]), U.u_lo, U.u_hi)
+            assert np.array_equal(U.evaluate(k, xs), want)
+        ts = 0.5 * (tg.nodes[:-1] + tg.nodes[1:])
+        lattice = U.sample_lattice(ts, xs)
+        assert np.array_equal(lattice, [np.clip(np.interp(xs, xg.nodes, w), U.u_lo, U.u_hi)
+                                        for w in U.w])
 
 
 def test_evaluate_rejects_slab_outside_range(rng):
@@ -189,7 +215,7 @@ def test_fixed_point_trivial_data():
     xg = build_uniform_spatial(8)
     U, Y, P, rep = fixed_point_solve(spec0, tg, xg)
     assert rep.iterations == 1
-    assert not np.any(U.v) and not np.any(Y.values) and not np.any(P.values)
+    assert not np.any(U.w) and not np.any(Y.values) and not np.any(P.values)
     assert rep.total == 0.0
 
 
@@ -237,10 +263,21 @@ def test_damped_solve_keeps_the_kinks_of_one_projection():
     spec, tg, xg = small_instance(m=6, n=32)
     U1, _, _, r1 = fixed_point_solve(spec, tg, xg)
     U2, _, _, r2 = fixed_point_solve(spec, tg, xg, theta=0.6)
-    nodes = tg.num_slabs * (xg.n + 1)
-    assert U1.x.size - nodes == 86
-    assert U2.x.size == U1.x.size
+    assert kink_count(U1) == 86
+    assert kink_count(U2) == 86
     assert r2.total == pytest.approx(r1.total, rel=1e-14, abs=0.0)
+
+
+def test_fixed_point_one_sided_box_starts_inside():
+    # a box that excludes 0 with one infinite bound: the start is the clamp
+    # of 0, not the infinite midpoint of the box
+    spec0, tg, xg = small_instance(m=2, n=8)
+    for lo, hi in ((0.05, math.inf), (-math.inf, -0.05)):
+        spec = dataclasses.replace(spec0, u_lo=lo, u_hi=hi)
+        U, Y, P, rep = fixed_point_solve(spec, tg, xg)
+        assert rep.final_increment < 1e-13 and rep.iterations <= 20
+        assert np.all(nodal(U) >= lo) and np.all(nodal(U) <= hi)
+        assert optimality_residual(U, Y, P, spec) <= 1e-12
 
 
 def test_fixed_point_iteration_cap():
@@ -265,8 +302,9 @@ def test_optimality_residual_detects_perturbation():
     U, Y, P, _ = fixed_point_solve(spec, tg, xg)
     assert optimality_residual(U, Y, P, spec) <= 1e-12
     delta = 3e-3
-    inactive = (U.v > spec.u_lo + 0.02) & (U.v < spec.u_hi - 0.02)
-    U2 = dataclasses.replace(U, v=np.where(inactive, U.v + delta, U.v))
+    inactive = (U.w > spec.u_lo + 0.02) & (U.w < spec.u_hi - 0.02)
+    assert inactive.any()
+    U2 = dataclasses.replace(U, w=np.where(inactive, U.w + delta, U.w))
     assert optimality_residual(U2, Y, P, spec) >= delta * 0.9
 
 

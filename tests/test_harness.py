@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -178,20 +177,27 @@ def test_error_across_both_grids_matches_per_slab_reference(rng):
     Y = make_field(tg2, x2, rng, 0.3)
     Ua = project_admissible(make_field(tg1, x1, rng, 0.3), 1.0, -0.1, 0.1)
     Ub = project_admissible(Y, 1.0, 0.02, 0.2)  # nonzero at x = 0 and x = 1
-    assert Ua.x.size > tg1.num_slabs * 8 and Ub.x.size > tg2.num_slabs * 13  # kinks
+    for U in (Ua, Ub):  # with kinks
+        assert sum(xs.size for xs, _ in U.pieces) > U.tgrid.num_slabs * (U.xgrid.n + 1)
     for A, B in ((Ua, Ub), (Ub, Ua), (Ua, Y), (Y, Ua)):
         assert error_l2l2(A, B) == pytest.approx(per_slab_error(A, B), rel=1e-13, abs=0.0)
 
 
-def per_slab_blend(U1, U2, w1, w2):
-    """w1 U1 + w2 U2 on the breakpoints that merge_breakpoints gives per slab."""
+def layout_pieces(layout):
+    """Per-slab (breakpoints, values) of a flat layout (x, v, offsets)."""
+    x, v, offsets = layout
+    return zip(np.split(x, offsets[1:-1]), np.split(v, offsets[1:-1]))
+
+
+def per_slab_blend(a, b, w1, w2):
+    """w1 a + w2 b on the breakpoints that merge_breakpoints gives per slab,
+    for two flat layouts, as a flat layout."""
     rows = []
-    for (x1, v1), (x2, v2) in zip(U1.pieces, U2.pieces):
+    for (x1, v1), (x2, v2) in zip(layout_pieces(a), layout_pieces(b)):
         xs = merge_breakpoints(x1, x2)
         rows.append((xs, w1 * np.interp(xs, x1, v1) + w2 * np.interp(xs, x2, v2)))
     xs, vs = (np.concatenate(col) for col in zip(*rows))
-    offsets = np.concatenate(([0], np.cumsum([row[0].size for row in rows])))
-    return dataclasses.replace(U1, x=xs, v=vs, offsets=offsets)
+    return xs, vs, np.concatenate(([0], np.cumsum([row[0].size for row in rows])))
 
 
 def test_error_merges_rows_like_merge_breakpoints(rng):
@@ -201,26 +207,27 @@ def test_error_merges_rows_like_merge_breakpoints(rng):
     xg = build_uniform_spatial(8)
     Ua, Ub = (project_admissible(make_field(tg, xg, rng, 0.3), 1.0, -0.1, 0.1)
               for _ in range(2))
+    assert error_l2l2(Ua, Ub) == pytest.approx(per_slab_error(Ua, Ub), rel=1e-13, abs=0.0)
+    a, b = Ua.layout(0, tg.num_slabs), Ub.layout(0, tg.num_slabs)
     # breakpoints moved by less than the merge tolerance coalesce, and the
     # right endpoint stays exact when a point just below it comes first
-    near_x = Ua.x + np.where(np.isin(Ua.x, xg.nodes), 0.0, 3e-15)
-    near_x[Ua.offsets[1] - 2] = 1.0 - 3e-15
-    near = dataclasses.replace(Ua, x=near_x, v=Ua.v[::-1])
-    merged = per_slab_blend(Ua, Ub, 0.3, 0.7)  # a merged layout, merged again below
+    near_x = a[0] + np.where(np.isin(a[0], xg.nodes), 0.0, 3e-15)
+    near_x[a[2][1] - 2] = 1.0 - 3e-15
+    near = (near_x, a[1][::-1], a[2])
+    merged = per_slab_blend(a, b, 0.3, 0.7)  # a merged layout, merged again below
     ks = np.arange(tg.num_slabs)
-    for A, B in ((Ua, near), (near, Ua), (merged, Ua), (Ub, merged)):
-        x, counts, va, vb = _merge_layouts((A.x, A.v, A.offsets), ks, (B.x, B.v, B.offsets), ks)
+    for A, B in ((a, near), (near, a), (merged, a), (b, merged)):
+        x, counts, va, vb = _merge_layouts(A, ks, B, ks)
         assert counts.sum() == x.size == va.size == vb.size
         start = 0
-        for (xa, fa), (xb, fb), c in zip(A.pieces, B.pieces, counts):
+        for (xa, fa), (xb, fb), c in zip(layout_pieces(A), layout_pieces(B), counts):
             xs = merge_breakpoints(xa, xb)
             assert np.array_equal(x[start:start + c], xs)
             assert np.allclose(va[start:start + c], np.interp(xs, xa, fa), rtol=0.0, atol=1e-15)
             assert np.allclose(vb[start:start + c], np.interp(xs, xb, fb), rtol=0.0, atol=1e-15)
             start += c
         if A is near or B is near:
-            assert np.array_equal(x, Ua.x)
-        assert error_l2l2(A, B) == pytest.approx(per_slab_error(A, B), rel=1e-13, abs=0.0)
+            assert np.array_equal(x, a[0])
 
 
 def test_error_rejects_interval_mismatch(rng):

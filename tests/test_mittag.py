@@ -198,6 +198,23 @@ def test_crossover_band_agreement():
                 assert abs(va - vs) <= 1e-10 * abs(vs), (beta, gam, f)
 
 
+def test_asymptotic_certifies_past_the_crossover(rng):
+    # beta on a grid of [0.3, 0.95], both gammas, |z| = f Z0(beta): the sum
+    # driven by the reflection envelope certifies 1e-13 everywhere, also
+    # near rational beta with a small denominator, where a term close to a
+    # pole of Gamma once stopped the sum early (estimate 9e-6 at the last
+    # point below)
+    cases = [(beta, gam, -f * crossover_z0(beta)) for beta in np.linspace(0.3, 0.95, 261)
+             for gam in (1.0, 1.0 + beta) for f in (1.0, 1.5, 2.0, 4.0)]
+    for beta, gam, z in cases:
+        _, est = _asymptotic(beta, gam, z)
+        assert est <= 1e-13, (beta, gam, z, est)
+    sample = [cases[i] for i in rng.choice(len(cases), 75, replace=False)]
+    for beta, gam, z in sample + [(0.33296, 1.0, -13.0)]:
+        want = mp_asymptotic_oracle(beta, gam, z)
+        assert_rel(_asymptotic(beta, gam, z)[0], want, 4e-15, beta, gam, z)
+
+
 def _count_calls(monkeypatch, name):
     calls = []
     real = getattr(mittag, name)
