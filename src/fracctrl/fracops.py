@@ -9,10 +9,20 @@ Riemann-Liouville operators, to second differences of w(s) = max(s,0)^(1-a):
                - w(t_{k-1} - t_{j-1}) + w(t_{k-1} - t_j)] / Gamma(2-a).
 
 This closed form is exact, lower triangular (indicators supported after slab
-k do not couple), costs O(M^2) in total, and needs no singular quadrature.
-Nothing is stored: `TemporalCouplingMatrix.block` evaluates w on the node
-rectangle of any panel of rows and columns and returns its second
-difference, so a solver holds one panel at a time, never the triangle.
+k do not couple) and needs no singular quadrature.  Nothing is stored:
+`TemporalCouplingMatrix.block` evaluates w on the node rectangle of any
+panel of rows and columns and returns its second difference.  A solver
+takes only the near field from it, the diagonal and the columns next to it.
+
+Away from the diagonal (j <= k-2) the weight is a smooth double integral,
+
+    B[k][j] = c int_{slab k} int_{slab j} (t - s)^(-1-a) ds dt,
+    c = -a / Gamma(1-a),
+
+which `exp_sum` turns into sums of exponentials: with
+(t - s)^(-1-a) ~ sum_q omega_q exp(-lam_q (t - s)) each term factorises
+into one integral per slab, so the far field of a march is carried by
+running sums instead of by the whole triangle.
 The quadrature oracle below integrates the half-derivative products directly
 and exists solely to certify the identity numerically.
 """
@@ -33,12 +43,18 @@ __all__ = [
     "KernelMoments",
     "OracleToleranceError",
     "assemble_coupling",
+    "exp_sum",
     "half_derivative_oracle",
     "source_moments",
 ]
 
 ORACLE_MAX_SLABS = 64
 ORACLE_ABS_TOL = 1e-10
+
+# exp_sum: trapezoid step, and the cut-offs of the terms it keeps
+SOE_STEP = 0.25
+SOE_MAX_DECAY = 45.0
+SOE_MIN_WEIGHT = 1e-18
 
 
 class OracleToleranceError(RuntimeError):
@@ -86,6 +102,32 @@ def assemble_coupling(grid: TemporalGrid, alpha: float) -> TemporalCouplingMatri
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     return TemporalCouplingMatrix(alpha=float(alpha), grid=grid)
+
+
+def exp_sum(alpha: float, tmin: float, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rates lam (ascending) and weights omega with
+    sum_q omega_q exp(-lam_q t) = t^(-1-alpha) for t in [tmin, T].
+
+    The trapezoid rule, step 0.25, for t^(-b) = int p^(b-1) e^(-pt) dp / Gamma(b)
+    after the substitution p = exp(x - e^(-x)) (McLean, "Exponential sum
+    approximations for t^(-beta)", 2018), which makes the integrand decay
+    doubly exponentially as x -> -inf.  A term is kept while lam tmin < 45
+    and omega T^(1+alpha) > 1e-18; the relative error is about 6e-15 over
+    26 decades (alpha = 0.8, tmin = 2.6e-26, T = 1: 263 terms).
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
+    if not 0.0 < tmin <= T:
+        raise ValueError(f"need 0 < tmin <= T, got tmin={tmin}, T={T}")
+    b = 1.0 + alpha
+    # p(-6) = e^-409: every weight below that is far under the cut-off
+    x = SOE_STEP * np.arange(math.floor(-6.0 / SOE_STEP),
+                             math.ceil((math.log(SOE_MAX_DECAY / tmin) + 1.0) / SOE_STEP) + 1)
+    e = np.exp(-x)
+    lam = np.exp(x - e)
+    omega = SOE_STEP / math.gamma(b) * np.exp(b * (x - e)) * (1.0 + e)
+    keep = (lam * tmin < SOE_MAX_DECAY) & (omega * T ** b > SOE_MIN_WEIGHT)
+    return lam[keep], omega[keep]
 
 
 @dataclass(frozen=True)

@@ -148,7 +148,14 @@ def error_l2l2(A, B) -> float:
 # -- study machinery ---------------------------------------------------------
 
 _solve_cache: dict = {}
-_SOLVE_CACHE_MAX = 8
+# bytes of the cached (U, Y, P) arrays: a paper-scale triple (m=14, n=512)
+# takes 0.40 GB, so its reference stays cached beside a study's row solves
+_SOLVE_CACHE_BYTES = 2 ** 30
+
+
+def _triple_bytes(triple) -> int:
+    U, Y, P = triple
+    return U.w.nbytes + Y.values.nbytes + P.values.nbytes
 
 
 def clear_solve_cache() -> None:
@@ -173,7 +180,9 @@ def _solve_point(spec: ProblemSpec, alpha: float, r: float, m: int, n: int,
     """Solve on the grids that (m, n, grading, sigmas) build, through a
     least-recently-used cache keyed on those grids and the solver settings,
     so that a spatial and a temporal reference on the same grids share one
-    solve."""
+    solve.  The cache holds at most _SOLVE_CACHE_BYTES of arrays; a new
+    triple evicts the least recently used ones until it fits, and is kept
+    even when it alone is larger."""
     tgrid, xgrid = _grids_for(alpha, r, m, n, grading, sigma1, sigma2, reference)
     key = (alpha, r, tgrid.M, tgrid.sigma1, tgrid.sigma2, xgrid.n, tol, max_iter, theta)
     if key in _solve_cache:
@@ -181,8 +190,9 @@ def _solve_point(spec: ProblemSpec, alpha: float, r: float, m: int, n: int,
         return _solve_cache[key]
     U, Y, P, _ = fixed_point_solve(spec, tgrid, xgrid, tol=tol,
                                    max_iter=max_iter, theta=theta)
-    while len(_solve_cache) >= _SOLVE_CACHE_MAX:
-        _solve_cache.pop(next(iter(_solve_cache)))
+    held = sum(map(_triple_bytes, _solve_cache.values()))
+    while _solve_cache and held + _triple_bytes((U, Y, P)) > _SOLVE_CACHE_BYTES:
+        held -= _triple_bytes(_solve_cache.pop(next(iter(_solve_cache))))
     _solve_cache[key] = (U, Y, P)
     return U, Y, P
 

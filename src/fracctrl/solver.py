@@ -12,20 +12,28 @@ run through the same march.
 
 The spatial grid is uniform with Dirichlet conditions, so M and K are
 tridiagonal Toeplitz and share the DST-I eigenvectors sin(i pi x): in that
-basis every slab solve is one elementwise division.  The march takes the
-coupling in panels of PANEL rows generated from the closed form; a panel's
-history is one matrix product against the rows already solved, and only
-the work inside a panel is sequential.
+basis every slab solve is one elementwise division.  The march goes in
+panels of PANEL rows and splits each panel's history in two:
+
+* near field: the columns of the panel and the one before it, exact from
+  the closed form (`TemporalCouplingMatrix.block`), solved row by row;
+* far field: every earlier column, through the sum of exponentials of
+  `fracops.exp_sum`.  Each term factorises per slab, so the far history of
+  all earlier slabs is one state S of shape (Q, n-1), read by one matrix
+  product per panel and updated by another once the panel is solved.
+
+Memory is O(Q n) beyond the fields, and work O(K (Q + PANEL) n).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fem import TriDiagonalOperator, NodalFunction, assemble_mass, load_descriptor
-from .fracops import KernelMoments, TemporalCouplingMatrix
+from .fracops import KernelMoments, TemporalCouplingMatrix, exp_sum
 from .mesh import SpatialGrid, TemporalGrid
 from .problem import FunctionDescriptor
 from scipy.fft import dst
@@ -41,9 +49,21 @@ __all__ = [
     "field_inner",
 ]
 
-# coupling rows generated and marched together; 256 rows were slower at
-# 2M = 2048 and raised peak memory by 15% through the panel temporaries
+# coupling rows marched together: the near field of a panel is PANEL x
+# (PANEL + 1) closed-form weights, its far field two products with the
+# exponential-sum state
 PANEL = 64
+
+# exp(-x) is taken as exactly 0 beyond this argument (and never evaluated
+# there: exp runs several times slower when its result underflows)
+MAX_DECAY = 50.0
+
+
+def _check_shape(obj) -> None:
+    want = (obj.tgrid.num_slabs, obj.xgrid.num_interior)
+    if np.shape(obj.values) != want:
+        raise ValueError(f"{type(obj).__name__} values have shape {np.shape(obj.values)}, "
+                         f"its grids need {want}")
 
 
 @dataclass(frozen=True)
@@ -54,6 +74,9 @@ class SpaceTimeField:
     xgrid: SpatialGrid
     values: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        _check_shape(self)
+
 
 @dataclass(frozen=True)
 class SourceTerm:
@@ -62,6 +85,9 @@ class SourceTerm:
     tgrid: TemporalGrid
     xgrid: SpatialGrid
     values: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        _check_shape(self)
 
 
 def _check_grids(*objs) -> tuple[TemporalGrid, SpatialGrid]:
@@ -90,41 +116,97 @@ def _sine_eigenvalues(op: TriDiagonalOperator) -> np.ndarray:
     return d[0] + 2.0 * off * np.cos(np.arange(1, m + 1) * np.pi / (m + 1))
 
 
-def _march(panel, tau: np.ndarray, mass: TriDiagonalOperator,
+def _decay(lam: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """exp(-lam d) on the outer product (d rows, lam columns), exactly 0
+    where lam d >= MAX_DECAY."""
+    a = np.multiply.outer(d, lam)
+    out = np.exp(-np.minimum(a, MAX_DECAY))
+    out[a >= MAX_DECAY] = 0.0
+    return out
+
+
+def _slab_integral(lam: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """int_0^tau exp(-lam s) ds = (1 - exp(-lam tau)) / lam on the outer
+    product (tau rows, lam columns)."""
+    return -np.expm1(-np.multiply.outer(tau, lam)) / lam
+
+
+def _march(near, nodes: np.ndarray, alpha: float, mass: TriDiagonalOperator,
            stiffness: TriDiagonalOperator, src: np.ndarray) -> np.ndarray:
     """Solve sum_{j<=k} L[k][j] M X_j + tau_k K X_k = src_k for k in causal
-    order, where panel(k0, k1) returns rows k0..k1-1, columns 0..k1-1 of the
-    lower-triangular L (slabs 0-indexed)."""
+    order (slabs 0-indexed) on the grid `nodes`, where
+    L[k][j] = c int_{slab k} int_{slab j} (t - s)^(-1-alpha) for j <= k-2 and
+    near(k0, k1) returns rows k0..k1-1, columns max(k0-1, 0)..k1-1 of L.
+
+    In the sine basis M is the diagonal mu, and the march solves for
+    Z_k = mu X_k.  With the far kernel written as
+    sum_q omega_q exp(-lam_q (t - s)), the state
+    S_q = sum_{j<=k0-2} exp(-lam_q (t_k0 - t_{j+1})) a_q(j) Z_j, where
+    a_q(j) = int_{slab j} exp(-lam_q (t_{j+1} - s)) ds, gives row k of a
+    panel its far history c sum_q omega_q a_q(k) exp(-lam_q (t_k - t_k0)) S_q.
+    A term with lam_q tau_{k0-1} >= MAX_DECAY has S_q = 0 exactly, so each
+    panel reads and updates only the terms below that.
+    """
     mu = _sine_eigenvalues(mass)
     kappa = _sine_eigenvalues(stiffness)
     rhs = dst(src, type=1, norm="ortho", axis=1)
     K = rhs.shape[0]
-    X = np.empty_like(rhs)
+    tau = np.diff(nodes)
+    lam, omega = exp_sum(alpha, float(tau.min()), float(nodes[-1] - nodes[0]))
+    comega = -alpha / math.gamma(1.0 - alpha) * omega
+    S = np.zeros((lam.size, rhs.shape[1]))
+    q = 0  # S[q:] is zero
+    Z = rhs  # row k of rhs is read before Z[k] overwrites it
     for k0 in range(0, K, PANEL):
         k1 = min(k0 + PANEL, K)
-        L = panel(k0, k1)
-        R = rhs[k0:k1] - mu * (L[:, :k0] @ X[:k0])
+        L = near(k0, k1)
+        R = rhs[k0:k1]
+        if k0 > 0:
+            hist = np.multiply.outer(L[:, 0], Z[k0 - 1])
+            L = L[:, 1:]
+            if q:
+                rows = comega[:q] * _decay(lam[:q], nodes[k0:k1] - nodes[k0]) \
+                    * _slab_integral(lam[:q], tau[k0:k1])
+                hist += rows @ S[:q]
+            R = R - hist
+        scale = mu / (np.diag(L)[:, None] * mu + tau[k0:k1, None] * kappa)
         for i, k in enumerate(range(k0, k1)):
-            X[k] = (R[i] - mu * (L[i, k0:k] @ X[k0:k])) / (L[i, k] * mu + tau[k] * kappa)
-    return dst(X, type=1, norm="ortho", axis=1)
+            np.multiply(R[i] - L[i, :i] @ Z[k0:k], scale[i], out=Z[k])
+        if k1 == K:
+            break
+        # fold slabs j0..k1-2 into S, now at t_k1
+        j0 = max(k0 - 1, 0)
+        q_next = int(np.count_nonzero(lam * tau[k1 - 1] < MAX_DECAY))
+        lq = lam[:q_next]
+        fold = _decay(lq, nodes[k1] - nodes[j0 + 1:k1]) * _slab_integral(lq, tau[j0:k1 - 1])
+        S[:q_next] = _decay(lq, nodes[k1:k1 + 1] - nodes[k0]).T * S[:q_next] \
+            + fold.T @ Z[j0:k1 - 1]
+        S[q_next:q] = 0.0
+        q = q_next
+    Z /= mu
+    return dst(Z, type=1, norm="ortho", axis=1, overwrite_x=True)
 
 
 def apply_forward(B: TemporalCouplingMatrix, mass: TriDiagonalOperator,
                   stiffness: TriDiagonalOperator, src: SourceTerm) -> SpaceTimeField:
     """March the forward operator slab by slab in causal order."""
     _check_coupling(B, src)
-    Y = _march(lambda k0, k1: B.block(k0, k1, 0, k1), src.tgrid.widths,
-               mass, stiffness, src.values)
+    Y = _march(lambda k0, k1: B.block(k0, k1, max(k0 - 1, 0), k1), B.grid.nodes,
+               B.alpha, mass, stiffness, src.values)
     return SpaceTimeField(tgrid=src.tgrid, xgrid=src.xgrid, values=Y)
 
 
 def apply_adjoint(B: TemporalCouplingMatrix, mass: TriDiagonalOperator,
                   stiffness: TriDiagonalOperator, src: SourceTerm) -> SpaceTimeField:
-    """March the adjoint operator: the transposed coupling on reversed time."""
+    """March the adjoint operator: the transposed coupling on reversed time.
+
+    Reversed time is s = -t, whose nodes -t[::-1] are exact; T - t[::-1]
+    would round the first slabs of a graded grid (4e-19 wide) to nothing."""
     _check_coupling(B, src)
     K = src.tgrid.num_slabs
-    P = _march(lambda k0, k1: B.block(K - k1, K, K - k1, K - k0)[::-1, ::-1].T,
-               src.tgrid.widths[::-1], mass, stiffness, src.values[::-1])
+    P = _march(lambda k0, k1: B.block(K - k1, K - max(k0 - 1, 0),
+                                      K - k1, K - k0)[::-1, ::-1].T,
+               -B.grid.nodes[::-1], B.alpha, mass, stiffness, src.values[::-1])
     return SpaceTimeField(tgrid=src.tgrid, xgrid=src.xgrid, values=P[::-1])
 
 

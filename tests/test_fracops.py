@@ -160,12 +160,13 @@ def test_block_slices_of_dense():
     for k0, k1, j0, j1 in ((0, 40, 0, 40), (5, 17, 0, 17), (17, 33, 3, 29),
                            (0, 8, 20, 40), (39, 40, 0, 40), (12, 13, 12, 13)):
         assert np.array_equal(B.block(k0, k1, j0, j1), D[k0:k1, j0:j1])
-    # the panel the adjoint march uses: rows k0..k1-1 of the time-reversed
-    # transpose, columns 0..k1-1
+    # the near field the adjoint march uses: rows k0..k1-1 of the
+    # time-reversed transpose, columns max(k0-1, 0)..k1-1
     Dr = D[::-1, ::-1].T
     for k0, k1 in ((0, 16), (16, 32), (32, 40)):
-        panel = B.block(K - k1, K, K - k1, K - k0)[::-1, ::-1].T
-        assert np.array_equal(panel, Dr[k0:k1, :k1])
+        j0 = max(k0 - 1, 0)
+        near = B.block(K - k1, K - j0, K - k1, K - k0)[::-1, ::-1].T
+        assert np.array_equal(near, Dr[k0:k1, j0:k1])
 
 
 def test_assemble_rejects_bad_alpha():

@@ -306,7 +306,9 @@ def test_shared_reference_solved_once(monkeypatch):
 
 def test_solve_cache_evicts_least_recently_used(monkeypatch):
     calls = _count_solves(monkeypatch)
-    monkeypatch.setattr(harness, "_SOLVE_CACHE_MAX", 2)
+    # a triple on 2M = 2^(m+1) slabs, n=8 takes (9 + 7 + 7) * 8 bytes a
+    # slab: m=2 and m=3 fit together, m=2, 3 and 4 do not, m=2 and 4 do
+    monkeypatch.setattr(harness, "_SOLVE_CACHE_BYTES", 184 * (8 + 32))
     clear_solve_cache()
     spec = harness.default_experiment_spec(0.7, 0.0)
 
@@ -321,6 +323,27 @@ def test_solve_cache_evicts_least_recently_used(monkeypatch):
     assert solve(2)[0] is a[0]
     solve(3)
     assert [c[0] for c in calls] == [4, 8, 16, 8]
+
+
+def test_solve_cache_triple_above_the_bound_evicts_the_rest(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    monkeypatch.setattr(harness, "_SOLVE_CACHE_BYTES", 184 * (8 + 16))
+    clear_solve_cache()
+    spec = harness.default_experiment_spec(0.7, 0.0)
+
+    def solve(m):
+        return harness._solve_point(spec, 0.7, 0.0, m, 8, "graded", None, None,
+                                    1e-13, 200, 1.0)
+
+    solve(2)
+    solve(3)
+    big = solve(5)                # 64 slabs alone, above the bound
+    assert len(harness._solve_cache) == 1
+    assert harness._triple_bytes(big) == 184 * 64
+    assert solve(5)[0] is big[0]  # kept, so a hit
+    solve(2)                      # evicts m=5, which no longer fits
+    assert len(harness._solve_cache) == 1
+    assert [c[0] for c in calls] == [4, 8, 32, 4]
 
 
 def test_reference_self_distance_zero():

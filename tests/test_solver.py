@@ -1,13 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from fracctrl.fem import (TriDiagonalOperator, assemble_mass, assemble_stiffness,
                           l2_project, load_descriptor)
-from fracctrl.fracops import assemble_coupling, source_moments
+from fracctrl.fracops import assemble_coupling, exp_sum, source_moments
 from fracctrl.harness import forward_single_mode_error
-from fracctrl.mesh import build_graded, build_uniform_spatial
+from fracctrl.mesh import build_graded, build_uniform_spatial, default_sigmas
 from fracctrl.problem import PowerLaw
 from fracctrl.solver import (PANEL, SourceTerm, SpaceTimeField, adjoint_source,
                              apply_adjoint, apply_forward,
@@ -229,3 +231,84 @@ def test_marches_against_dense_space_time_solve(rng):
     P_ref = np.linalg.solve(S.T, src.ravel()).reshape(K, m)
     assert np.linalg.norm(Y - Y_ref) <= 1e-12 * np.linalg.norm(Y_ref)
     assert np.linalg.norm(P - P_ref) <= 1e-12 * np.linalg.norm(P_ref)
+
+
+def _exact_coupling(tg, alpha):
+    """B on the float nodes from the closed form in 40-digit arithmetic,
+    rounded once to double."""
+    K = tg.num_slabs
+    with mpmath.workdps(40):
+        t = [mpmath.mpf(float(x)) for x in tg.nodes]
+        e = 1 - mpmath.mpf(alpha)
+        W = [[(t[a] - t[b]) ** e if a > b else mpmath.mpf(0) for b in range(K + 1)]
+             for a in range(K + 1)]
+        g = mpmath.gamma(2 - mpmath.mpf(alpha))
+        return np.array([[float((W[k + 1][j] - W[k + 1][j + 1] - W[k][j] + W[k][j + 1]) / g)
+                          for j in range(K)] for k in range(K)])
+
+
+def test_marches_against_exact_weight_reference(rng):
+    # 256 graded slabs at alpha = 0.4 (smallest 5e-7): the far field of the
+    # march against lower-triangular solves, one per sine mode, with every
+    # weight exact to double
+    alpha = 0.4
+    tg = build_graded(2 ** 7, *default_sigmas(alpha, 0.0), 1.0)
+    xg = build_uniform_spatial(8)
+    K, m = tg.num_slabs, xg.num_interior
+    B = assemble_coupling(tg, alpha)
+    mass, stiff = assemble_mass(xg), assemble_stiffness(xg)
+    Bx = _exact_coupling(tg, alpha)
+    i = np.arange(1, m + 1)
+    phi = math.sqrt(2.0 / (m + 1)) * np.sin(np.outer(i, i) * np.pi / (m + 1))
+    mu = np.diag(phi @ _dense(mass) @ phi)
+    kappa = np.diag(phi @ _dense(stiff) @ phi)
+    # slab loads scale with the slab widths, as the solve's sources do
+    src = tg.widths[:, None] * rng.standard_normal((K, m))
+    rhs = src @ phi
+    Y_ref = np.empty((K, m))
+    P_ref = np.empty((K, m))
+    for c in range(m):
+        A = mu[c] * Bx + kappa[c] * np.diag(tg.widths)
+        Y_ref[:, c] = solve_triangular(A, rhs[:, c], lower=True)
+        P_ref[:, c] = solve_triangular(A, rhs[:, c], lower=True, trans="T")
+    Y_ref, P_ref = Y_ref @ phi, P_ref @ phi
+    Y = apply_forward(B, mass, stiff, SourceTerm(tg, xg, src)).values
+    P = apply_adjoint(B, mass, stiff, SourceTerm(tg, xg, src)).values
+    assert np.linalg.norm(Y - Y_ref) <= 1e-13 * np.linalg.norm(Y_ref)
+    assert np.linalg.norm(P - P_ref) <= 1e-13 * np.linalg.norm(P_ref)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.4, 0.8])
+def test_exp_sum_matches_the_far_kernel(alpha):
+    # the whole range the far field of an m=14 march can see
+    tg = build_graded(2 ** 14, *default_sigmas(alpha, 0.0), 1.0)
+    tmin = tg.widths.min()
+    lam, omega = exp_sum(alpha, tmin, 1.0)
+    assert np.all(np.diff(lam) > 0.0)
+    t = np.logspace(math.log10(tmin), 0.0, 2000)
+    a = np.multiply.outer(t, lam)
+    approx = np.where(a < 50.0, np.exp(-np.minimum(a, 50.0)), 0.0) @ omega
+    assert np.max(np.abs(approx / t ** (-1.0 - alpha) - 1.0)) <= 1e-14
+
+
+def test_adjoint_identity_through_the_far_field(rng):
+    # 1024 slabs: 16 panels, so most of each march comes from the far field
+    tg = build_graded(2 ** 9, *default_sigmas(0.8, 0.0), 1.0)
+    xg = build_uniform_spatial(16)
+    B = assemble_coupling(tg, 0.8)
+    mass, stiff = assemble_mass(xg), assemble_stiffness(xg)
+    for _ in range(3):
+        g1 = SpaceTimeField(tg, xg, rng.standard_normal((tg.num_slabs, 15)))
+        g2 = SpaceTimeField(tg, xg, rng.standard_normal((tg.num_slabs, 15)))
+        defect = check_adjoint_identity(B, mass, stiff, g1, g2)
+        scale = math.sqrt(field_inner(g1, g1, mass) * field_inner(g2, g2, mass))
+        assert defect <= 1e-13 * scale
+
+
+def test_fields_check_their_shape(small_setup):
+    tg, xg, *_ = small_setup
+    for cls in (SpaceTimeField, SourceTerm):
+        with pytest.raises(ValueError, match=r"\(8, 15\).*\(16, 15\)"):
+            cls(tg, xg, np.zeros((8, 15)))
+        with pytest.raises(ValueError, match=r"\(16, 16\)"):
+            cls(tg, xg, np.zeros((16, 16)))
