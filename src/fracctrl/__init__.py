@@ -22,8 +22,8 @@ from .mittag import MlAccuracyError, SpectralSolution, crossover_z0, ml, spectra
 from .problem import (FunctionDescriptor, PowerLaw, ProblemSpec, SineCombo,
                       TimeConstant, Zero, default_experiment_spec,
                       from_config_text, to_config_text, validate)
-from .solver import (SourceTerm, SpaceTimeField, adjoint_source,
+from .solver import (MarchPlan, SourceTerm, SpaceTimeField, adjoint_source,
                      apply_adjoint, apply_forward, check_adjoint_identity,
-                     field_inner, state_source)
+                     field_inner, march, march_plan, sine_transform, state_source)
 
 __version__ = "0.1.0"

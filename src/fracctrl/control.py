@@ -21,8 +21,7 @@ from .fem import TriDiagonalOperator, assemble_mass, assemble_stiffness, l2_proj
 from .fracops import assemble_coupling, source_moments
 from .mesh import MERGE_RTOL, SpatialGrid, TemporalGrid
 from .problem import ProblemSpec
-from .solver import (PANEL, SpaceTimeField, adjoint_source, apply_adjoint,
-                     apply_forward, state_source)
+from .solver import PANEL, SpaceTimeField, march, march_plan, sine_transform, state_source
 
 __all__ = [
     "ControlField",
@@ -75,8 +74,11 @@ class ControlField:
         """(slab, element, local cut s in [0, 1], bound) of every point where
         w strictly crosses a bound, ordered by slab, element and s."""
         w, cols = self.w, []
-        for b in (self.u_lo, self.u_hi):  # an infinite bound has no sign change
-            k, e = np.nonzero((w[:, :-1] - b) * (w[:, 1:] - b) < 0.0)
+        for b in (self.u_lo, self.u_hi):  # nothing crosses an infinite bound
+            below, above = w < b, w > b
+            cross = below[:, :-1] & above[:, 1:]
+            cross |= above[:, :-1] & below[:, 1:]
+            k, e = np.divmod(np.flatnonzero(cross), self.xgrid.n)
             wl = w[k, e]
             cols.append((k, e, (b - wl) / (w[k, e + 1] - wl), np.full(k.size, b)))
         k, e, s, b = map(np.concatenate, zip(*cols))
@@ -202,7 +204,9 @@ def project_admissible(P: SpaceTimeField, nu: float, u_lo: float, u_hi: float) -
     """U = clamp(-P/nu), with the zero Dirichlet nodes of P."""
     if not u_lo < u_hi:
         raise ValueError(f"bounds must satisfy u_lo < u_hi, got ({u_lo}, {u_hi})")
-    return ControlField(P.tgrid, P.xgrid, u_lo, u_hi, np.pad(-P.values / nu, ((0, 0), (1, 1))))
+    w = np.zeros((P.tgrid.num_slabs, P.xgrid.n + 1))
+    np.divide(P.values, -nu, out=w[:, 1:-1])
+    return ControlField(P.tgrid, P.xgrid, u_lo, u_hi, w)
 
 
 def control_loads(U: ControlField) -> np.ndarray:
@@ -212,16 +216,20 @@ def control_loads(U: ControlField) -> np.ndarray:
     kinked elements: linear between the cuts and zero at both nodes, so
     Simpson's rule integrates it against a hat exactly.
     """
-    xg = U.xgrid
-    c = np.clip(U.w, U.u_lo, U.u_hi)
-    out = np.zeros_like(c)
-    out[:, 1:-1] = assemble_mass(xg).apply(c[:, 1:-1])
-    out[:, 1] += xg.h / 6.0 * c[:, 0]  # the ends are nonzero when the box excludes 0
-    out[:, -2] += xg.h / 6.0 * c[:, -1]
+    xg, w, lo, hi = U.xgrid, U.w, U.u_lo, U.u_hi
+    # the mass stencil on c, whose ends are nonzero when the box excludes 0;
+    # each neighbour is clamped into one temporary, so no copy of c is made
+    out = np.clip(w[:, 1:-1], lo, hi)
+    out *= 2.0 * xg.h / 3.0
+    t = np.clip(w[:, 2:], lo, hi)
+    out += np.multiply(t, xg.h / 6.0, out=t)
+    out += np.multiply(np.clip(w[:, :-2], lo, hi, out=t), xg.h / 6.0, out=t)
     k, e, s, u, iu = _kinked_elements(U)
-    out[k, e] += xg.h * _simpson(s, u - iu, 1.0 - s)  # (slab, element) pairs are unique
-    out[k, e + 1] += xg.h * _simpson(s, u - iu, s)
-    return out[:, 1:-1]
+    # (slab, element) pairs are unique; the end nodes carry no hat
+    for node, weight in ((e, 1.0 - s), (e + 1, s)):
+        hat = (node > 0) & (node < xg.n)
+        out[k[hat], node[hat] - 1] += xg.h * _simpson(s, u - iu, weight)[hat]
+    return out
 
 
 @dataclass(frozen=True)
@@ -243,16 +251,20 @@ def _control_norm_sq(U, tgrid: TemporalGrid, mass: TriDiagonalOperator) -> float
     return float(np.sum(tgrid.widths * np.einsum("ki,ki->k", U.values, mass.apply(U.values))))
 
 
+def _tracking(widths: np.ndarray, ymy: np.ndarray, cross: np.ndarray, yd_sq: float) -> float:
+    """1/2 ||Y - yd||^2 = 1/2 sum_k tau_k (Y_k.M Y_k - 2 Y_k.yd_load + ||yd||^2)
+    from its per-slab mass form ymy and cross loads."""
+    return 0.5 * float(np.sum(widths * (ymy - 2.0 * cross + yd_sq)))
+
+
 def evaluate_cost(U, Y: SpaceTimeField, spec: ProblemSpec) -> CostReport:
     """J(U) = 1/2 ||Y - yd||^2 + nu/2 ||U||^2 with the tracking misfit
     expanded into the mass form, exact cross loads, and the closed-form
     target norm; the penalty uses the kink-exact control norm."""
     mass = assemble_mass(Y.xgrid)
-    yd_load = load_descriptor(Y.xgrid, spec.yd)
-    yd_sq = spec.yd.l2_norm_sq()
     ymy = np.einsum("ki,ki->k", Y.values, mass.apply(Y.values))
-    cross = Y.values @ yd_load
-    tracking = 0.5 * float(np.sum(Y.tgrid.widths * (ymy - 2.0 * cross + yd_sq)))
+    cross = Y.values @ load_descriptor(Y.xgrid, spec.yd)
+    tracking = _tracking(Y.tgrid.widths, ymy, cross, spec.yd.l2_norm_sq())
     penalty = 0.5 * spec.nu * _control_norm_sq(U, Y.tgrid, mass)
     return CostReport(tracking=tracking, penalty=penalty, total=tracking + penalty)
 
@@ -268,6 +280,12 @@ def fixed_point_solve(spec: ProblemSpec, tgrid: TemporalGrid, xgrid: SpatialGrid
     clamp is 1-Lipschitz and -Q/nu is piecewise linear in x, so r bounds
     |U - clamp(-P/nu)| at every point, kinks included.
 
+    Both marches stay in the sine basis, where the mass matrix is the
+    diagonal mu: the state march returns Z = mu Y^, so the co-state's
+    source is tau (Z - yd^) and the tracking term is
+    sum_k tau_k (Y^_k.Z_k - 2 Y^_k.yd^ + ||yd||^2).  An iteration takes two
+    transforms, of the control loads and of P; Y returns to nodes at the end.
+
     Returns (U, Y, P, CostReport) of the accepted iteration.
     """
     if tol <= 0.0:
@@ -277,24 +295,42 @@ def fixed_point_solve(spec: ProblemSpec, tgrid: TemporalGrid, xgrid: SpatialGrid
     mass = assemble_mass(xgrid)
     stiffness = assemble_stiffness(xgrid)
     B = assemble_coupling(tgrid, spec.alpha)
+    plan = march_plan(B, mass, stiffness)
     moments = source_moments(tgrid, spec.alpha)
-    y0_proj = l2_project(xgrid, spec.y0)
+    y0_hat = sine_transform(mass.apply(l2_project(xgrid, spec.y0).coeffs))
+    yd_hat = sine_transform(load_descriptor(xgrid, spec.yd))
+    yd_sq = spec.yd.l2_norm_sq()
+    mu, widths = plan.mu, tgrid.widths
+    shape = (tgrid.num_slabs, xgrid.num_interior)
+    work = np.empty(shape)  # the y0 forcing, the co-state march, P - Q, then Y^
 
     u_init = min(max(0.0, spec.u_lo), spec.u_hi)  # finite for a one-sided box
-    Q = np.full((tgrid.num_slabs, xgrid.num_interior), -spec.nu * u_init)
+    Q = np.full(shape, -spec.nu * u_init)
     history = []
     increment = math.inf
     for iterations in range(1, max_iter + 1):
         U = project_admissible(SpaceTimeField(tgrid, xgrid, Q), spec.nu, spec.u_lo, spec.u_hi)
-        Y = apply_forward(B, mass, stiffness, state_source(U, y0_proj, moments, mass))
-        P = apply_adjoint(B, mass, stiffness, adjoint_source(Y, spec.yd))
-        history.append(evaluate_cost(U, Y, spec))
-        increment = float(np.linalg.norm(P.values - Q)) / spec.nu
+        penalty = 0.5 * spec.nu * U.norm_l2l2_sq()
+        Z = sine_transform(state_source(U, None, moments, mass).values, overwrite=True)
+        Z += np.multiply.outer(moments.values, y0_hat, out=work)
+        march(plan, Z)
+        np.subtract(Z[::-1], yd_hat, out=work)  # the co-state marches on reversed time
+        work *= widths[::-1, None]
+        P = sine_transform(np.divide(march(plan, work, adjoint=True)[::-1], mu), overwrite=True)
+        increment = float(np.linalg.norm(np.subtract(P, Q, out=work))) / spec.nu
+        Yhat = np.divide(Z, mu, out=work)
+        tracking = _tracking(widths, np.einsum("ki,ki->k", Yhat, Z), Yhat @ yd_hat, yd_sq)
+        history.append(CostReport(tracking=tracking, penalty=penalty, total=tracking + penalty))
         if increment < tol:
-            return U, Y, P, replace(
+            Y = SpaceTimeField(tgrid, xgrid, sine_transform(Yhat, overwrite=True))
+            return U, Y, SpaceTimeField(tgrid, xgrid, P), replace(
                 history[-1], iterations=iterations, final_increment=increment,
                 cost_history=tuple(rep.total for rep in history))
-        Q = (1.0 - theta) * Q + theta * P.values  # exactly P at theta = 1
+        if theta < 1.0:
+            P *= theta
+            P += (1.0 - theta) * Q
+        Q = P
+        del Z  # freed before the next iteration builds its own
     raise FixedPointDiverged(max_iter, increment)
 
 

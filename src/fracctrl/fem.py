@@ -51,13 +51,12 @@ class TriDiagonalOperator:
     sup: np.ndarray = field(repr=False)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
+        """The operator on v, or on each row of v: one product and one
+        temporary beside the result."""
         out = self.diag * v
-        if v.ndim == 1:
-            out[:-1] += self.sup * v[1:]
-            out[1:] += self.sub * v[:-1]
-        else:  # rows of v are vectors
-            out[:, :-1] += self.sup * v[:, 1:]
-            out[:, 1:] += self.sub * v[:, :-1]
+        t = self.sup * v[..., 1:]
+        out[..., :-1] += t
+        out[..., 1:] += np.multiply(self.sub, v[..., :-1], out=t)
         return out
 
 

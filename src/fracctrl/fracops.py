@@ -82,6 +82,10 @@ class TemporalCouplingMatrix:
         W = np.maximum(t[k0 : k1 + 1, None] - t[None, j0 : j1 + 1], 0.0) ** (1.0 - self.alpha)
         return (W[1:, :-1] - W[1:, 1:] - W[:-1, :-1] + W[:-1, 1:]) * (1.0 / math.gamma(2.0 - self.alpha))
 
+    def diagonal(self) -> np.ndarray:
+        """B[k][k] = w(tau_k) / Gamma(2-a) for every slab, as `block` forms it."""
+        return np.diff(self.grid.nodes) ** (1.0 - self.alpha) * (1.0 / math.gamma(2.0 - self.alpha))
+
     def entry(self, k: int, j: int) -> float:
         """B[k][j], slabs 1-indexed."""
         K = self.grid.num_slabs

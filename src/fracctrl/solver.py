@@ -22,13 +22,20 @@ panels of PANEL rows and splits each panel's history in two:
   all earlier slabs is one state S of shape (Q, n-1), read by one matrix
   product per panel and updated by another once the panel is solved.
 
-Memory is O(Q n) beyond the fields, and work O(K (Q + PANEL) n).
+Every quantity that depends only on the grids (near blocks, far-field
+weights, the diagonal solves' scales) sits in a `MarchPlan`, built once and
+shared by all marches of a solve; `march` runs on sine coefficients in
+place, so a caller that stays in that basis transforms only what it needs
+at the nodes.  Beyond the fields, a march keeps O(Q n) and the plan
+O(K (n + PANEL + Q)); work is O(K (Q + PANEL) n).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +48,10 @@ from scipy.fft import dst
 __all__ = [
     "SpaceTimeField",
     "SourceTerm",
+    "MarchPlan",
+    "march_plan",
+    "march",
+    "sine_transform",
     "apply_forward",
     "apply_adjoint",
     "state_source",
@@ -131,82 +142,155 @@ def _slab_integral(lam: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return -np.expm1(-np.multiply.outer(tau, lam)) / lam
 
 
-def _march(near, nodes: np.ndarray, alpha: float, mass: TriDiagonalOperator,
-           stiffness: TriDiagonalOperator, src: np.ndarray) -> np.ndarray:
-    """Solve sum_{j<=k} L[k][j] M X_j + tau_k K X_k = src_k for k in causal
-    order (slabs 0-indexed) on the grid `nodes`, where
-    L[k][j] = c int_{slab k} int_{slab j} (t - s)^(-1-alpha) for j <= k-2 and
-    near(k0, k1) returns rows k0..k1-1, columns max(k0-1, 0)..k1-1 of L.
+class _Panel(NamedTuple):
+    """Grid-only quantities of the panel of rows k0..k1-1 (marching order)."""
 
-    In the sine basis M is the diagonal mu, and the march solves for
-    Z_k = mu X_k.  With the far kernel written as
-    sum_q omega_q exp(-lam_q (t - s)), the state
-    S_q = sum_{j<=k0-2} exp(-lam_q (t_k0 - t_{j+1})) a_q(j) Z_j, where
+    k0: int
+    k1: int
+    near: np.ndarray   # columns k0..k1-1 of its rows of L, C-contiguous
+    prev: np.ndarray   # column k0-1 of its rows (empty in the first panel)
+    scale: np.ndarray  # mu / (L_kk mu + tau_k kappa), a view of MarchPlan.scale
+    rows: np.ndarray   # far-field read: c omega_q a_q(k) exp(-lam_q (t_k - t_k0))
+    fold: np.ndarray   # slabs j0..k1-2 into S at t_k1 (None in the last panel)
+    decay: np.ndarray  # S from t_k0 to t_k1, one row per term it keeps
+
+
+@dataclass(frozen=True)
+class MarchPlan:
+    """What the forward and the adjoint march need that depends only on the
+    grids, the order and the spatial operators, panel by panel.  Each
+    direction is built on its first march and serves every later one; the
+    two share the exponential sum and the diagonal solves.  See `march`."""
+
+    B: TemporalCouplingMatrix
+    mu: np.ndarray = field(repr=False)      # mass eigenvalues in the sine basis
+    kappa: np.ndarray = field(repr=False)   # stiffness eigenvalues
+    lam: np.ndarray = field(repr=False)     # far kernel: sum_q comega_q exp(-lam_q t)
+    comega: np.ndarray = field(repr=False)
+
+    @cached_property
+    def scale(self) -> np.ndarray:
+        """mu / (B_kk mu + tau_k kappa) per slab in time order; the adjoint
+        reads it backwards, as reversed time has the same widths."""
+        tau = self.B.grid.widths
+        return self.mu / (self.B.diagonal()[:, None] * self.mu + tau[:, None] * self.kappa)
+
+    @cached_property
+    def forward(self) -> tuple:
+        return self._panels(adjoint=False)
+
+    @cached_property
+    def adjoint(self) -> tuple:
+        return self._panels(adjoint=True)
+
+    def _panels(self, adjoint: bool) -> tuple:
+        """The panels of one direction.  The adjoint is the transposed
+        coupling on reversed time s = -t, whose nodes -t[::-1] are exact;
+        T - t[::-1] would round the first slabs of a graded grid (4e-19
+        wide) to nothing."""
+        B, lam, comega = self.B, self.lam, self.comega
+        K = B.grid.num_slabs
+        nodes = -B.grid.nodes[::-1] if adjoint else B.grid.nodes
+        tau = np.diff(nodes)
+        scale = self.scale[::-1] if adjoint else self.scale
+        panels = []
+        q = 0  # terms the panel reads: S[q:] is zero
+        for k0 in range(0, K, PANEL):
+            k1 = min(k0 + PANEL, K)
+            j0 = max(k0 - 1, 0)
+            if adjoint:
+                L = B.block(K - k1, K - j0, K - k1, K - k0)[::-1, ::-1].T
+            else:
+                L = B.block(k0, k1, j0, k1)
+            prev, L = (np.ascontiguousarray(L[:, 0]), L[:, 1:]) if k0 > 0 else (L[:0, 0], L)
+            rows = comega[:q] * _decay(lam[:q], nodes[k0:k1] - nodes[k0]) \
+                * _slab_integral(lam[:q], tau[k0:k1])
+            fold = decay = None
+            if k1 < K:
+                q = int(np.count_nonzero(lam * tau[k1 - 1] < MAX_DECAY))
+                lq = lam[:q]
+                fold = _decay(lq, nodes[k1] - nodes[j0 + 1:k1]) * _slab_integral(lq, tau[j0:k1 - 1])
+                decay = _decay(lq, nodes[k1:k1 + 1] - nodes[k0]).T
+            panels.append(_Panel(k0, k1, np.ascontiguousarray(L), prev, scale[k0:k1],
+                                 rows, fold, decay))
+        return tuple(panels)
+
+
+def march_plan(B: TemporalCouplingMatrix, mass: TriDiagonalOperator,
+               stiffness: TriDiagonalOperator) -> MarchPlan:
+    """The plan of both marches for the coupling B and the spatial operators."""
+    tau = B.grid.widths
+    lam, omega = exp_sum(B.alpha, float(tau.min()), float(B.grid.nodes[-1] - B.grid.nodes[0]))
+    return MarchPlan(B=B, mu=_sine_eigenvalues(mass), kappa=_sine_eigenvalues(stiffness),
+                     lam=lam, comega=-B.alpha / math.gamma(1.0 - B.alpha) * omega)
+
+
+def march(plan: MarchPlan, Z: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """Solve sum_{j<=k} L[k][j] M X_j + tau_k K X_k = src_k for k in causal
+    order (slabs 0-indexed) in the sine basis, in place: Z holds the sine
+    coefficients of the sources, rows in marching order, and is overwritten
+    with Z_k = mu X_k.  L is the plan's coupling, or on reversed time its
+    transpose (`adjoint`); for j <= k-2,
+    L[k][j] = c int_{slab k} int_{slab j} (t - s)^(-1-alpha).
+
+    With the far kernel written as sum_q omega_q exp(-lam_q (t - s)), the
+    state S_q = sum_{j<=k0-2} exp(-lam_q (t_k0 - t_{j+1})) a_q(j) Z_j, where
     a_q(j) = int_{slab j} exp(-lam_q (t_{j+1} - s)) ds, gives row k of a
     panel its far history c sum_q omega_q a_q(k) exp(-lam_q (t_k - t_k0)) S_q.
     A term with lam_q tau_{k0-1} >= MAX_DECAY has S_q = 0 exactly, so each
     panel reads and updates only the terms below that.
     """
-    mu = _sine_eigenvalues(mass)
-    kappa = _sine_eigenvalues(stiffness)
-    rhs = dst(src, type=1, norm="ortho", axis=1)
-    K = rhs.shape[0]
-    tau = np.diff(nodes)
-    lam, omega = exp_sum(alpha, float(tau.min()), float(nodes[-1] - nodes[0]))
-    comega = -alpha / math.gamma(1.0 - alpha) * omega
-    S = np.zeros((lam.size, rhs.shape[1]))
-    q = 0  # S[q:] is zero
-    Z = rhs  # row k of rhs is read before Z[k] overwrites it
-    for k0 in range(0, K, PANEL):
-        k1 = min(k0 + PANEL, K)
-        L = near(k0, k1)
-        R = rhs[k0:k1]
+    want = (plan.B.grid.num_slabs, plan.mu.size)
+    if Z.shape != want:
+        raise ValueError(f"march of shape {Z.shape} on a plan for {want}")
+    S = np.zeros((plan.lam.size, Z.shape[1]))
+    for k0, k1, L, prev, scale, rows, fold, decay in (plan.adjoint if adjoint else plan.forward):
+        R = Z[k0:k1]
+        q = rows.shape[1]
         if k0 > 0:
-            hist = np.multiply.outer(L[:, 0], Z[k0 - 1])
-            L = L[:, 1:]
+            hist = np.multiply.outer(prev, Z[k0 - 1])
             if q:
-                rows = comega[:q] * _decay(lam[:q], nodes[k0:k1] - nodes[k0]) \
-                    * _slab_integral(lam[:q], tau[k0:k1])
                 hist += rows @ S[:q]
-            R = R - hist
-        scale = mu / (np.diag(L)[:, None] * mu + tau[k0:k1, None] * kappa)
-        for i, k in enumerate(range(k0, k1)):
-            np.multiply(R[i] - L[i, :i] @ Z[k0:k], scale[i], out=Z[k])
-        if k1 == K:
-            break
-        # fold slabs j0..k1-2 into S, now at t_k1
-        j0 = max(k0 - 1, 0)
-        q_next = int(np.count_nonzero(lam * tau[k1 - 1] < MAX_DECAY))
-        lq = lam[:q_next]
-        fold = _decay(lq, nodes[k1] - nodes[j0 + 1:k1]) * _slab_integral(lq, tau[j0:k1 - 1])
-        S[:q_next] = _decay(lq, nodes[k1:k1 + 1] - nodes[k0]).T * S[:q_next] \
-            + fold.T @ Z[j0:k1 - 1]
-        S[q_next:q] = 0.0
-        q = q_next
-    Z /= mu
-    return dst(Z, type=1, norm="ortho", axis=1, overwrite_x=True)
+            R -= hist
+        for i in range(k1 - k0):
+            r = R[i]
+            r -= L[i, :i] @ R[:i]
+            r *= scale[i]
+        if fold is not None:
+            q_next = decay.shape[0]
+            S[:q_next] = decay * S[:q_next] + fold.T @ Z[max(k0 - 1, 0):k1 - 1]
+            S[q_next:q] = 0.0
+    return Z
+
+
+def sine_transform(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """The orthonormal DST-I along the last axis: nodal values to sine
+    coefficients and back (it is its own inverse)."""
+    return dst(a, type=1, norm="ortho", axis=-1, overwrite_x=overwrite)
+
+
+def _solve(B: TemporalCouplingMatrix, mass: TriDiagonalOperator,
+           stiffness: TriDiagonalOperator, src: np.ndarray, adjoint: bool) -> np.ndarray:
+    """Nodal solution of one march, on a plan of its own, for nodal sources."""
+    plan = march_plan(B, mass, stiffness)
+    Z = march(plan, sine_transform(src), adjoint)
+    Z /= plan.mu
+    return sine_transform(Z, overwrite=True)
 
 
 def apply_forward(B: TemporalCouplingMatrix, mass: TriDiagonalOperator,
                   stiffness: TriDiagonalOperator, src: SourceTerm) -> SpaceTimeField:
     """March the forward operator slab by slab in causal order."""
     _check_coupling(B, src)
-    Y = _march(lambda k0, k1: B.block(k0, k1, max(k0 - 1, 0), k1), B.grid.nodes,
-               B.alpha, mass, stiffness, src.values)
+    Y = _solve(B, mass, stiffness, src.values, adjoint=False)
     return SpaceTimeField(tgrid=src.tgrid, xgrid=src.xgrid, values=Y)
 
 
 def apply_adjoint(B: TemporalCouplingMatrix, mass: TriDiagonalOperator,
                   stiffness: TriDiagonalOperator, src: SourceTerm) -> SpaceTimeField:
-    """March the adjoint operator: the transposed coupling on reversed time.
-
-    Reversed time is s = -t, whose nodes -t[::-1] are exact; T - t[::-1]
-    would round the first slabs of a graded grid (4e-19 wide) to nothing."""
+    """March the adjoint operator: the transposed coupling on reversed time."""
     _check_coupling(B, src)
-    K = src.tgrid.num_slabs
-    P = _march(lambda k0, k1: B.block(K - k1, K - max(k0 - 1, 0),
-                                      K - k1, K - k0)[::-1, ::-1].T,
-               -B.grid.nodes[::-1], B.alpha, mass, stiffness, src.values[::-1])
+    P = _solve(B, mass, stiffness, src.values[::-1], adjoint=True)
     return SpaceTimeField(tgrid=src.tgrid, xgrid=src.xgrid, values=P[::-1])
 
 
@@ -218,16 +302,15 @@ def state_source(U, y0_proj: NodalFunction | None, moments: KernelMoments,
     if U is None:
         raise ValueError("control term must be a field (possibly zero-valued)")
     if hasattr(U, "spatial_loads"):  # kink-aware control
-        xg = U.xgrid
-        vals = tg.widths[:, None] * U.spatial_loads()
+        vals = U.spatial_loads()
     else:  # member of the discrete space: loads are exact mass actions
-        xg = U.xgrid
         if U.tgrid.num_slabs != tg.num_slabs:
             raise ValueError("control and moments live on different grids")
-        vals = tg.widths[:, None] * mass.apply(U.values)
+        vals = mass.apply(U.values)
+    vals *= tg.widths[:, None]  # a fresh array
     if y0_proj is not None:
-        vals = vals + moments.values[:, None] * mass.apply(y0_proj.coeffs)
-    return SourceTerm(tgrid=tg, xgrid=xg, values=vals)
+        vals += np.multiply.outer(moments.values, mass.apply(y0_proj.coeffs))
+    return SourceTerm(tgrid=tg, xgrid=U.xgrid, values=vals)
 
 
 def adjoint_source(Y: SpaceTimeField, yd: FunctionDescriptor | None) -> SourceTerm:

@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fracctrl.control import (FixedPointDiverged, control_loads, evaluate_cost,
-                              fixed_point_solve, optimality_residual,
+from fracctrl.control import (ControlField, FixedPointDiverged, control_loads,
+                              evaluate_cost, fixed_point_solve, optimality_residual,
                               project_admissible)
-from fracctrl.fem import assemble_mass
+from fracctrl.fem import assemble_mass, assemble_stiffness, l2_project
+from fracctrl.fracops import assemble_coupling, source_moments
 from fracctrl.mesh import build_graded, build_uniform_spatial, default_sigmas
 from fracctrl.problem import (ProblemSpec, SineCombo, TimeConstant, Zero,
                               default_experiment_spec)
-from fracctrl.solver import SpaceTimeField
+from fracctrl.solver import (SpaceTimeField, adjoint_source, apply_adjoint,
+                             apply_forward, state_source)
 
 
 def small_instance(alpha=0.8, r=0.0, m=5, n=16):
@@ -40,6 +42,20 @@ def test_projection_of_zero_costate():
     U = project_admissible(P0, 1.0, -0.1, 0.1)
     assert not np.any(U.w) and kink_count(U) == 0
     assert U.norm_l2l2_sq() == 0.0
+
+
+def test_kinks_survive_underflowing_crossings():
+    # w crosses u_lo = 0 between -1e-170 and 1e-170, where the product
+    # (wl - b)(wr - b) underflows to -0.0: the crossing must still count
+    tg = build_graded(2, 1.0, 1.0, 1.0)
+    xg = build_uniform_spatial(4)
+    w = np.zeros((tg.num_slabs, 5))
+    w[0] = [0.0, -1e-170, 1e-170, -3.0, 0.0]
+    U = ControlField(tg, xg, 0.0, math.inf, w)
+    xs, vs = U.pieces[0]
+    assert xs.size == 7  # the element nodes and one cut in elements 1 and 2
+    assert 0.375 in xs and vs[list(xs).index(0.375)] == 0.0
+    assert kink_count(U) == 2
 
 
 def test_projection_crossings_single_element():
@@ -278,6 +294,50 @@ def test_fixed_point_one_sided_box_starts_inside():
         assert rep.final_increment < 1e-13 and rep.iterations <= 20
         assert np.all(nodal(U) >= lo) and np.all(nodal(U) <= hi)
         assert optimality_residual(U, Y, P, spec) <= 1e-12
+
+
+def _nodal_fixed_point(spec, tg, xg, theta=1.0, tol=1e-13, max_iter=200):
+    """The fixed point of `fixed_point_solve` composed of the public nodal
+    pieces: every source and the cost go through nodal values."""
+    mass, stiff = assemble_mass(xg), assemble_stiffness(xg)
+    B = assemble_coupling(tg, spec.alpha)
+    mom = source_moments(tg, spec.alpha)
+    y0p = l2_project(xg, spec.y0)
+    u_init = min(max(0.0, spec.u_lo), spec.u_hi)
+    Q = np.full((tg.num_slabs, xg.num_interior), -spec.nu * u_init)
+    history = []
+    for iterations in range(1, max_iter + 1):
+        U = project_admissible(SpaceTimeField(tg, xg, Q), spec.nu, spec.u_lo, spec.u_hi)
+        Y = apply_forward(B, mass, stiff, state_source(U, y0p, mom, mass))
+        P = apply_adjoint(B, mass, stiff, adjoint_source(Y, spec.yd))
+        history.append(evaluate_cost(U, Y, spec).total)
+        if np.linalg.norm(P.values - Q) / spec.nu < tol:
+            return U, Y, P, iterations, history
+        Q = (1.0 - theta) * Q + theta * P.values
+    raise AssertionError("the nodal fixed point did not converge")
+
+
+@pytest.mark.parametrize("case", ["alpha0.4-r0.25", "alpha0.8-r0", "one-sided", "damped-nu0.01"])
+def test_fixed_point_matches_the_nodal_composition(case):
+    # the sine-basis loop against the same iteration through nodal sources
+    theta = 1.0
+    if case == "alpha0.4-r0.25":
+        spec, tg, xg = small_instance(alpha=0.4, r=0.25, m=7, n=32)
+    elif case == "alpha0.8-r0":
+        spec, tg, xg = small_instance(alpha=0.8, m=7, n=32)
+    elif case == "one-sided":
+        spec0, tg, xg = small_instance(m=6, n=16)
+        spec = dataclasses.replace(spec0, u_lo=0.05, u_hi=math.inf)
+    else:
+        spec0, tg, xg = small_instance(alpha=0.4, m=6, n=32)
+        spec, theta = dataclasses.replace(spec0, nu=0.01), 0.5
+    U, Y, P, rep = fixed_point_solve(spec, tg, xg, theta=theta)
+    U_ref, Y_ref, P_ref, iterations, history = _nodal_fixed_point(spec, tg, xg, theta=theta)
+    assert rep.iterations == iterations
+    assert rep.total == pytest.approx(history[-1], rel=1e-12, abs=0.0)
+    assert rep.cost_history == pytest.approx(history, rel=1e-12, abs=0.0)
+    for got, want in ((U.w, U_ref.w), (Y.values, Y_ref.values), (P.values, P_ref.values)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_fixed_point_iteration_cap():

@@ -12,8 +12,9 @@ from fracctrl.harness import forward_single_mode_error
 from fracctrl.mesh import build_graded, build_uniform_spatial, default_sigmas
 from fracctrl.problem import PowerLaw
 from fracctrl.solver import (PANEL, SourceTerm, SpaceTimeField, adjoint_source,
-                             apply_adjoint, apply_forward,
-                             check_adjoint_identity, field_inner, state_source)
+                             apply_adjoint, apply_forward, check_adjoint_identity,
+                             field_inner, march, march_plan, sine_transform,
+                             state_source)
 
 
 @pytest.fixture
@@ -208,6 +209,28 @@ def test_march_rejects_non_toeplitz_operators(small_setup, rng):
         apply_forward(B, bumped_diag, stiff, src)
     with pytest.raises(ValueError):
         apply_adjoint(B, mass, bumped_sup, src)
+
+
+def test_one_plan_serves_every_march(rng):
+    # 256 slabs: four panels, so the far field is read and folded; forward
+    # and adjoint marches interleave on one plan, each with a fresh source
+    tg = build_graded(2 ** 7, *default_sigmas(0.8, 0.0), 1.0)
+    xg = build_uniform_spatial(16)
+    assert tg.num_slabs > 2 * PANEL
+    B = assemble_coupling(tg, 0.8)
+    mass, stiff = assemble_mass(xg), assemble_stiffness(xg)
+    plan = march_plan(B, mass, stiff)
+    for adjoint in (False, True, False, True):
+        src = tg.widths[:, None] * rng.standard_normal((tg.num_slabs, 15))
+        if adjoint:
+            want = apply_adjoint(B, mass, stiff, SourceTerm(tg, xg, src)).values
+            got = sine_transform(march(plan, sine_transform(src[::-1]), adjoint) / plan.mu)[::-1]
+        else:
+            want = apply_forward(B, mass, stiff, SourceTerm(tg, xg, src)).values
+            got = sine_transform(march(plan, sine_transform(src)) / plan.mu)
+        assert np.array_equal(got, want)
+    with pytest.raises(ValueError, match="shape"):
+        march(plan, np.zeros((tg.num_slabs, 14)))
 
 
 def _dense(op):
