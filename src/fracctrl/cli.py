@@ -8,8 +8,8 @@ import sys
 
 from . import harness
 from .control import fixed_point_solve, optimality_residual
-from .mesh import build_graded, build_uniform_spatial, default_sigmas
-from .problem import default_experiment_spec, from_config_text, validate
+from .mesh import build_graded, build_uniform_spatial, grading_exponents
+from .problem import default_experiment_spec, from_config_text
 
 __all__ = ["main"]
 
@@ -89,13 +89,8 @@ def _cmd_ocp(args) -> int:
             spec = from_config_text(fh.read())
     else:
         spec = default_experiment_spec(args.alpha, args.r)
-    bad = validate(spec)
-    if bad:
-        raise ValueError(f"invalid problem spec, offending fields: {', '.join(bad)}")
-    s1d, s2d = default_sigmas(spec.alpha, spec.r)
-    tgrid = build_graded(2 ** args.m,
-                         s1d if args.sigma1 is None else args.sigma1,
-                         s2d if args.sigma2 is None else args.sigma2, spec.T)
+    sigmas = grading_exponents(spec.alpha, spec.r, args.sigma1, args.sigma2)
+    tgrid = build_graded(2 ** args.m, *sigmas, spec.T)
     xgrid = build_uniform_spatial(args.n)
     U, Y, P, report = fixed_point_solve(spec, tgrid, xgrid, tol=args.tol,
                                         max_iter=args.max_iter, theta=args.theta)
@@ -119,37 +114,23 @@ def _cmd_ocp(args) -> int:
 
 def _cmd_study(args) -> int:
     frozen, refined = ("m", "n") if args.axis == "spatial" else ("n", "m")
-    if len(getattr(args, frozen) or ()) > 1:
+    fixed = getattr(args, frozen)
+    if fixed and len(fixed) > 1:
         raise ValueError(f"--{frozen} takes one value in a {args.axis} study, its frozen axis")
     if getattr(args, f"{frozen}_ref") is not None:
         raise ValueError(f"--{frozen}-ref does not apply to a {args.axis} study; "
                          f"its reference is --{refined}-ref")
-    if args.axis == "spatial":
-        defaults = harness.PAPER_SPATIAL if args.paper_scale else harness.SPATIAL_DEFAULTS
-        if args.uniform:
-            raise ValueError("spatial studies run on graded temporal grids")
-        m_fix = args.m[0] if args.m else defaults["m_fix"]
-        ns = args.n if args.n else defaults["ns"]
-        n_ref = args.n_ref if args.n_ref else defaults["n_ref"]
-        cfg = harness.ExperimentConfig(
-            kind="spatial-study", alpha=args.alpha, r=args.r, grading="graded",
-            points=tuple(ns), reference=n_ref, fixed=m_fix, tol=args.tol,
-            max_iter=args.max_iter, theta=args.theta, sigma1=args.sigma1,
-            sigma2=args.sigma2)
-        table = harness.run_spatial_study(cfg)
-    else:
-        defaults = harness.PAPER_TEMPORAL if args.paper_scale else harness.TEMPORAL_DEFAULTS
-        ms = args.m if args.m else defaults["ms"]
-        n_fix = args.n[0] if args.n else defaults["n_fix"]
-        m_ref = args.m_ref if args.m_ref else defaults["m_ref"]
-        cfg = harness.ExperimentConfig(
-            kind="temporal-study", alpha=args.alpha, r=args.r,
-            grading="uniform" if args.uniform else "graded",
-            points=tuple(ms), reference=m_ref, fixed=n_fix, tol=args.tol,
-            max_iter=args.max_iter, theta=args.theta, sigma1=args.sigma1,
-            sigma2=args.sigma2)
-        table = harness.run_temporal_study(cfg)
-    text = harness.emit_table(table, fmt=args.fmt, path=args.out)
+    defaults = {"spatial": (harness.SPATIAL_DEFAULTS, harness.PAPER_SPATIAL),
+                "temporal": (harness.TEMPORAL_DEFAULTS, harness.PAPER_TEMPORAL)}[args.axis]
+    given = dict(fixed=fixed[0] if fixed else None, points=getattr(args, refined),
+                 reference=getattr(args, f"{refined}_ref"))
+    cfg = harness.ExperimentConfig(
+        kind=f"{args.axis}-study", alpha=args.alpha, r=args.r,
+        grading="uniform" if args.uniform else "graded", tol=args.tol,
+        max_iter=args.max_iter, theta=args.theta, sigma1=args.sigma1, sigma2=args.sigma2,
+        **{**defaults[args.paper_scale], **{k: v for k, v in given.items() if v is not None}})
+    run = harness.run_spatial_study if args.axis == "spatial" else harness.run_temporal_study
+    text = harness.emit_table(run(cfg), fmt=args.fmt, path=args.out)
     sys.stdout.write(text)
     return 0
 

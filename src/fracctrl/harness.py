@@ -17,7 +17,7 @@ from .control import ControlField, _merge_layouts, fixed_point_solve
 from .fem import assemble_mass, assemble_stiffness, load_descriptor
 from .fracops import assemble_coupling, source_moments
 from .mesh import (SpatialGrid, TemporalGrid, build_graded,
-                   build_uniform_spatial, default_sigmas, merge_breakpoints)
+                   build_uniform_spatial, grading_exponents, merge_breakpoints)
 from .mittag import SpectralSolution, spectral_state
 from .problem import ProblemSpec, SineCombo, default_experiment_spec
 from .solver import PANEL, SourceTerm, apply_forward
@@ -38,10 +38,10 @@ __all__ = [
 
 # desk-scale defaults; the paper-scale reference (m=14, n=512) is available
 # through the --paper-scale flag of the CLI
-SPATIAL_DEFAULTS = dict(m_fix=9, ns=(10, 20, 30, 40, 50), n_ref=256)
-TEMPORAL_DEFAULTS = dict(n_fix=128, ms=(6, 7, 8, 9, 10), m_ref=12)
-PAPER_SPATIAL = dict(m_fix=14, ns=(10, 20, 30, 40, 50), n_ref=512)
-PAPER_TEMPORAL = dict(n_fix=512, ms=(8, 9, 10, 11, 12), m_ref=14)
+SPATIAL_DEFAULTS = dict(fixed=9, points=(10, 20, 30, 40, 50), reference=256)
+TEMPORAL_DEFAULTS = dict(fixed=128, points=(6, 7, 8, 9, 10), reference=12)
+PAPER_SPATIAL = dict(fixed=14, points=(10, 20, 30, 40, 50), reference=512)
+PAPER_TEMPORAL = dict(fixed=512, points=(8, 9, 10, 11, 12), reference=14)
 
 _GAUSS4_X = np.array([-0.8611363115940526, -0.3399810435848563,
                       0.3399810435848563, 0.8611363115940526])
@@ -71,11 +71,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown study kind {self.kind!r}")
         if self.grading not in ("graded", "uniform"):
             raise ValueError(f"unknown grading mode {self.grading!r}")
-        if self.points:
-            if list(self.points) != sorted(set(self.points)):
-                raise ValueError("run points must be strictly increasing")
-            if self.reference <= max(self.points):
-                raise ValueError("reference must be finer than every run point")
+        if not self.points:
+            raise ValueError("points: a study needs at least one run point")
+        for name in ("fixed", "reference"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if list(self.points) != sorted(set(self.points)):
+            raise ValueError("points must be strictly increasing")
+        if self.reference <= max(self.points):
+            raise ValueError("reference must be finer than every run point")
 
 
 @dataclass
@@ -162,34 +166,33 @@ def clear_solve_cache() -> None:
     _solve_cache.clear()
 
 
-def _grids_for(alpha: float, r: float, m: int, n: int, grading: str,
-               sigma1: float | None, sigma2: float | None,
+def _grids_for(cfg: ExperimentConfig, m: int, n: int,
                reference: bool = False) -> tuple[TemporalGrid, SpatialGrid]:
-    s1d, s2d = default_sigmas(alpha, r)
-    if grading == "uniform" and not reference:
-        s1, s2 = 1.0, 1.0
+    # the reference stands in for the true solution, so it stays graded
+    # even when the rows run on uniform grids
+    if cfg.grading == "uniform" and not reference:
+        sigmas = (1.0, 1.0)
     else:
-        s1 = s1d if sigma1 is None else sigma1
-        s2 = s2d if sigma2 is None else sigma2
-    return build_graded(2 ** m, s1, s2, 1.0), build_uniform_spatial(n)
+        sigmas = grading_exponents(cfg.alpha, cfg.r, cfg.sigma1, cfg.sigma2)
+    return build_graded(2 ** m, *sigmas, 1.0), build_uniform_spatial(n)
 
 
-def _solve_point(spec: ProblemSpec, alpha: float, r: float, m: int, n: int,
-                 grading: str, sigma1, sigma2, tol: float, max_iter: int,
-                 theta: float, reference: bool = False):
-    """Solve on the grids that (m, n, grading, sigmas) build, through a
-    least-recently-used cache keyed on those grids and the solver settings,
-    so that a spatial and a temporal reference on the same grids share one
-    solve.  The cache holds at most _SOLVE_CACHE_BYTES of arrays; a new
-    triple evicts the least recently used ones until it fits, and is kept
-    even when it alone is larger."""
-    tgrid, xgrid = _grids_for(alpha, r, m, n, grading, sigma1, sigma2, reference)
-    key = (alpha, r, tgrid.M, tgrid.sigma1, tgrid.sigma2, xgrid.n, tol, max_iter, theta)
+def _solve_point(spec: ProblemSpec, cfg: ExperimentConfig, m: int, n: int,
+                 reference: bool = False):
+    """Solve on the grids that (m, n) and the grading of cfg build, through
+    a least-recently-used cache keyed on those grids and the solver
+    settings, so that a spatial and a temporal reference on the same grids
+    share one solve.  The cache holds at most _SOLVE_CACHE_BYTES of arrays;
+    a new triple evicts the least recently used ones until it fits, and is
+    kept even when it alone is larger."""
+    tgrid, xgrid = _grids_for(cfg, m, n, reference)
+    key = (cfg.alpha, cfg.r, tgrid.M, tgrid.sigma1, tgrid.sigma2, xgrid.n,
+           cfg.tol, cfg.max_iter, cfg.theta)
     if key in _solve_cache:
         _solve_cache[key] = _solve_cache.pop(key)
         return _solve_cache[key]
-    U, Y, P, _ = fixed_point_solve(spec, tgrid, xgrid, tol=tol,
-                                   max_iter=max_iter, theta=theta)
+    U, Y, P, _ = fixed_point_solve(spec, tgrid, xgrid, tol=cfg.tol,
+                                   max_iter=cfg.max_iter, theta=cfg.theta)
     held = sum(map(_triple_bytes, _solve_cache.values()))
     while _solve_cache and held + _triple_bytes((U, Y, P)) > _SOLVE_CACHE_BYTES:
         held -= _triple_bytes(_solve_cache.pop(next(iter(_solve_cache))))
@@ -197,67 +200,53 @@ def _solve_point(spec: ProblemSpec, alpha: float, r: float, m: int, n: int,
     return U, Y, P
 
 
-def _study_rows(cfg: ExperimentConfig, axis: str) -> ConvergenceTable:
+def _study_rows(cfg: ExperimentConfig) -> ConvergenceTable:
+    """Errors of each run point against the reference, and the orders
+    between consecutive rows.  A point p solves at (m, n) = (fixed, p) on
+    a spatial study, labelled n, and at (p, fixed) on a temporal one,
+    labelled 2^m."""
     spec = default_experiment_spec(cfg.alpha, cfg.r)
-    if axis == "spatial":
-        m_fix = cfg.fixed
-        ref = _solve_point(spec, cfg.alpha, cfg.r, m_fix, cfg.reference,
-                           cfg.grading, cfg.sigma1, cfg.sigma2,
-                           cfg.tol, cfg.max_iter, cfg.theta)
-        runs = [(n, _solve_point(spec, cfg.alpha, cfg.r, m_fix, n, cfg.grading,
-                                 cfg.sigma1, cfg.sigma2, cfg.tol, cfg.max_iter,
-                                 cfg.theta)) for n in cfg.points]
-    else:
-        n_fix = cfg.fixed
-        # the reference stands in for the true solution, so it always uses
-        # the graded defaults even when the rows run on uniform grids
-        ref = _solve_point(spec, cfg.alpha, cfg.r, cfg.reference, n_fix,
-                           cfg.grading, cfg.sigma1, cfg.sigma2,
-                           cfg.tol, cfg.max_iter, cfg.theta, reference=True)
-        runs = [(2 ** m, _solve_point(spec, cfg.alpha, cfg.r, m, n_fix,
-                                      cfg.grading, cfg.sigma1, cfg.sigma2,
-                                      cfg.tol, cfg.max_iter, cfg.theta))
-                for m in cfg.points]
-    Ur, Yr, Pr = ref
+    spatial = cfg.kind == "spatial-study"
+
+    def grids(p: int) -> tuple[int, int]:
+        return (cfg.fixed, p) if spatial else (p, cfg.fixed)
+
+    Ur, Yr, Pr = _solve_point(spec, cfg, *grids(cfg.reference), reference=True)
     rows = []
-    prev = None
-    for param, (U, Y, P) in runs:
-        eY = error_l2l2(Y, Yr)
-        eP = error_l2l2(P, Pr)
-        eU = error_l2l2(U, Ur)
-        if prev is None:
-            rows.append((param, eY, math.nan, eP, math.nan, eU, math.nan))
-        else:
-            p0, eY0, eP0, eU0 = prev
-            rows.append((param, eY, estimate_order(eY0, eY, p0, param),
-                         eP, estimate_order(eP0, eP, p0, param),
-                         eU, estimate_order(eU0, eU, p0, param)))
-        prev = (param, eY, eP, eU)
-    s1, s2 = default_sigmas(cfg.alpha, cfg.r)
-    meta = dict(alpha=cfg.alpha, r=cfg.r, grading=cfg.grading,
-                sigma1=cfg.sigma1 if cfg.sigma1 is not None else s1,
-                sigma2=cfg.sigma2 if cfg.sigma2 is not None else s2,
-                axis=axis, fixed=cfg.fixed, reference=cfg.reference,
+    for p in cfg.points:
+        U, Y, P = _solve_point(spec, cfg, *grids(p))
+        param = p if spatial else 2 ** p
+        eY, eP, eU = error_l2l2(Y, Yr), error_l2l2(P, Pr), error_l2l2(U, Ur)
+        oY = oP = oU = math.nan
+        if rows:
+            p0, eY0, _, eP0, _, eU0, _ = rows[-1]
+            oY, oP, oU = (estimate_order(e0, e, p0, param)
+                          for e0, e in ((eY0, eY), (eP0, eP), (eU0, eU)))
+        rows.append((param, eY, oY, eP, oP, eU, oU))
+    s1, s2 = grading_exponents(cfg.alpha, cfg.r, cfg.sigma1, cfg.sigma2)
+    meta = dict(alpha=cfg.alpha, r=cfg.r, grading=cfg.grading, sigma1=s1, sigma2=s2,
+                axis=cfg.kind.split("-")[0], fixed=cfg.fixed, reference=cfg.reference,
                 norm="L2(0,T;L2(0,1))")
     return ConvergenceTable(rows=rows, metadata=meta)
 
 
 def run_spatial_study(cfg: ExperimentConfig) -> ConvergenceTable:
-    """Refine the spatial grid at a frozen temporal grid; errors against the
-    (m_fix, n_ref) reference, orders per consecutive cell counts."""
+    """Refine the spatial grid at a frozen temporal grid: rows n = points at
+    m = fixed, errors against n = reference, orders per consecutive cell
+    counts."""
     if cfg.kind != "spatial-study":
         raise ValueError(f"config kind {cfg.kind!r} is not a spatial study")
     if cfg.grading != "graded":
         raise ValueError("spatial studies run on graded temporal grids")
-    return _study_rows(cfg, "spatial")
+    return _study_rows(cfg)
 
 
 def run_temporal_study(cfg: ExperimentConfig) -> ConvergenceTable:
-    """Refine the temporal grid at a frozen spatial grid; errors against the
-    (m_ref, n_fix) reference, orders per doubling of M."""
+    """Refine the temporal grid at a frozen spatial grid: rows m = points at
+    n = fixed, errors against m = reference, orders per doubling of M."""
     if cfg.kind != "temporal-study":
         raise ValueError(f"config kind {cfg.kind!r} is not a temporal study")
-    return _study_rows(cfg, "temporal")
+    return _study_rows(cfg)
 
 
 # -- table output ------------------------------------------------------------
@@ -326,9 +315,7 @@ def forward_single_mode_error(alpha: float, m: int, n: int, r: float = 0.0,
     flavor "homogeneous": datum v = phi_mode, forcing through the kernel
     moments; "constant_source": source g = phi_mode frozen in time.
     """
-    s1d, s2d = default_sigmas(alpha, r)
-    tgrid = build_graded(2 ** m, s1d if sigma1 is None else sigma1,
-                         s2d if sigma2 is None else sigma2, 1.0)
+    tgrid = build_graded(2 ** m, *grading_exponents(alpha, r, sigma1, sigma2), 1.0)
     xgrid = build_uniform_spatial(n)
     mass = assemble_mass(xgrid)
     stiffness = assemble_stiffness(xgrid)

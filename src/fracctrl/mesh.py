@@ -18,6 +18,7 @@ __all__ = [
     "SpatialGrid",
     "build_graded",
     "default_sigmas",
+    "grading_exponents",
     "build_uniform_spatial",
     "merge_breakpoints",
 ]
@@ -96,6 +97,14 @@ def default_sigmas(alpha: float, r: float) -> tuple[float, float]:
     sigma1 = max(1.0, (2.0 - alpha) / den)
     sigma2 = max(1.0, (2.0 - alpha) / (alpha + 1.0))
     return sigma1, sigma2
+
+
+def grading_exponents(alpha: float, r: float, sigma1: float | None = None,
+                      sigma2: float | None = None) -> tuple[float, float]:
+    """The default_sigmas of (alpha, r), each replaced by its override when
+    one is given."""
+    s1, s2 = default_sigmas(alpha, r)
+    return (s1 if sigma1 is None else sigma1), (s2 if sigma2 is None else sigma2)
 
 
 def build_uniform_spatial(n: int) -> SpatialGrid:

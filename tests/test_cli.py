@@ -1,7 +1,8 @@
 import pytest
 
 from fracctrl.cli import main
-from fracctrl.harness import clear_solve_cache, read_table_csv
+from fracctrl.harness import (ExperimentConfig, clear_solve_cache, read_table_csv,
+                              render_table, run_spatial_study, run_temporal_study)
 from fracctrl.problem import default_experiment_spec, to_config_text
 
 
@@ -63,6 +64,24 @@ def test_study_uniform_flag(capsys):
                "--m-ref", "5", "--n", "8", "--uniform", "--format", "csv"])
     assert rc == 0
     assert "param,errY" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (["spatial", "--r", "0.25", "--sigma2", "1.5", "--m", "3", "--n", "4,8", "--n-ref", "16"],
+     dict(kind="spatial-study", r=0.25, sigma2=1.5, points=(4, 8), reference=16, fixed=3)),
+    (["temporal", "--m", "3,4", "--m-ref", "5", "--n", "8"],
+     dict(kind="temporal-study", r=0.0, points=(3, 4), reference=5, fixed=8)),
+    (["temporal", "--uniform", "--m", "3,4", "--m-ref", "5", "--n", "8"],
+     dict(kind="temporal-study", r=0.0, grading="uniform", points=(3, 4), reference=5, fixed=8)),
+])
+def test_study_csv_matches_the_library(argv, cfg, tmp_path, capsys):
+    clear_solve_cache()
+    out = tmp_path / "table.csv"
+    assert main(["study", *argv, "--alpha", "0.7", "--format", "csv", "--out", str(out)]) == 0
+    clear_solve_cache()
+    cfg = ExperimentConfig(alpha=0.7, **cfg)
+    run = run_spatial_study if cfg.kind == "spatial-study" else run_temporal_study
+    assert out.read_bytes() == render_table(run(cfg), "csv").encode()
 
 
 def test_error_exit_code(capsys):

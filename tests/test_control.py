@@ -368,6 +368,25 @@ def test_optimality_residual_detects_perturbation():
     assert optimality_residual(U2, Y, P, spec) >= delta * 0.9
 
 
+@pytest.mark.parametrize("w, q", [((0.0, 0.2, 0.0), 0.1), ((0.0, 0.1, 0.0), 0.2)])
+def test_optimality_residual_peaks_at_a_kink(w, q):
+    # on [0, 1/2] one clamp is min(0.4 x, 0.1), kinked at x = 1/4, and the
+    # other is 0.2 x: they differ by 0.05 there, and by less at every point
+    # that an even sample of the element takes (0.0444 with nine points)
+    spec = default_experiment_spec(0.5, 0.0)
+    tg, xg = build_graded(2, 1.0, 1.0, 1.0), build_uniform_spatial(2)
+    U = ControlField(tg, xg, spec.u_lo, spec.u_hi, np.tile(w, (tg.num_slabs, 1)))
+    P = SpaceTimeField(tg, xg, np.full((tg.num_slabs, 1), -q * spec.nu))
+    assert optimality_residual(U, None, P, spec) == pytest.approx(0.05, rel=1e-14)
+
+
+@pytest.mark.parametrize("nu", [0.0, -1.0])
+def test_fixed_point_rejects_a_nonpositive_cost_weight(nu):
+    spec, tg, xg = small_instance(m=3, n=8)
+    with pytest.raises(ValueError, match="nu"):
+        fixed_point_solve(dataclasses.replace(spec, nu=nu), tg, xg)
+
+
 def test_cost_closed_form_target_only():
     spec0 = default_experiment_spec(0.5, 0.0)
     tg = build_graded(4, 1.0, 1.0, 1.0)

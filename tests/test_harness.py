@@ -313,8 +313,7 @@ def test_solve_cache_evicts_least_recently_used(monkeypatch):
     spec = harness.default_experiment_spec(0.7, 0.0)
 
     def solve(m):
-        return harness._solve_point(spec, 0.7, 0.0, m, 8, "graded", None, None,
-                                    1e-13, 200, 1.0)
+        return harness._solve_point(spec, tiny_temporal_cfg(), m, 8)
 
     a = solve(2)
     solve(3)
@@ -332,8 +331,7 @@ def test_solve_cache_triple_above_the_bound_evicts_the_rest(monkeypatch):
     spec = harness.default_experiment_spec(0.7, 0.0)
 
     def solve(m):
-        return harness._solve_point(spec, 0.7, 0.0, m, 8, "graded", None, None,
-                                    1e-13, 200, 1.0)
+        return harness._solve_point(spec, tiny_temporal_cfg(), m, 8)
 
     solve(2)
     solve(3)
@@ -373,6 +371,15 @@ def test_config_validation():
         run_spatial_study(ExperimentConfig(kind="spatial-study", alpha=0.5,
                                            r=0.0, grading="uniform",
                                            points=(4,), reference=8, fixed=4))
+
+
+def test_config_names_a_missing_axis():
+    with pytest.raises(ValueError, match="points"):
+        ExperimentConfig(kind="temporal-study", alpha=0.5, r=0.0)
+    base = dict(kind="spatial-study", alpha=0.5, r=0.0, points=(4, 8), reference=16, fixed=3)
+    for field, bad in (("points", ()), ("fixed", 0), ("reference", -16)):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{**base, field: bad})
 
 
 def test_emit_empty_table():
