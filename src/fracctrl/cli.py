@@ -29,7 +29,6 @@ def _add_problem(p: argparse.ArgumentParser) -> None:
 def _add_solver(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=1e-13, help="fixed-point stopping tolerance")
     p.add_argument("--max-iter", type=int, default=200, help="fixed-point iteration cap")
-    p.add_argument("--theta", type=float, default=1.0, help="fixed-point damping in (0,1]")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,8 +91,7 @@ def _cmd_ocp(args) -> int:
     sigmas = grading_exponents(spec.alpha, spec.r, args.sigma1, args.sigma2)
     tgrid = build_graded(2 ** args.m, *sigmas, spec.T)
     xgrid = build_uniform_spatial(args.n)
-    U, Y, P, report = fixed_point_solve(spec, tgrid, xgrid, tol=args.tol,
-                                        max_iter=args.max_iter, theta=args.theta)
+    U, Y, P, report = fixed_point_solve(spec, tgrid, xgrid, tol=args.tol, max_iter=args.max_iter)
     res = optimality_residual(U, Y, P, spec)
     print(f"converged in {report.iterations} iterations, "
           f"final increment {report.final_increment:.3e}")
@@ -127,7 +125,7 @@ def _cmd_study(args) -> int:
     cfg = harness.ExperimentConfig(
         kind=f"{args.axis}-study", alpha=args.alpha, r=args.r,
         grading="uniform" if args.uniform else "graded", tol=args.tol,
-        max_iter=args.max_iter, theta=args.theta, sigma1=args.sigma1, sigma2=args.sigma2,
+        max_iter=args.max_iter, sigma1=args.sigma1, sigma2=args.sigma2,
         **{**defaults[args.paper_scale], **{k: v for k, v in given.items() if v is not None}})
     run = harness.run_spatial_study if args.axis == "spatial" else harness.run_temporal_study
     text = harness.emit_table(run(cfg), fmt=args.fmt, path=args.out)

@@ -1,4 +1,4 @@
-"""Implicitly discretized control, cost evaluation, and the fixed-point loop.
+"""Implicitly discretized control, cost evaluation, and the self-damped fixed point.
 
 The control is never a mesh function: it is U = clamp(w), the pointwise
 projection of the nodal function w = -Q/nu onto the admissible box
@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fem import TriDiagonalOperator, assemble_mass, assemble_stiffness, l2_project, load_descriptor
+from .fem import TriDiagonalOperator, assemble_mass, assemble_stiffness, load_descriptor
 from .fracops import assemble_coupling, source_moments
 from .mesh import MERGE_RTOL, SpatialGrid, TemporalGrid
 from .problem import ProblemSpec, validate
@@ -37,17 +37,18 @@ __all__ = [
 class FixedPointDiverged(RuntimeError):
     """Fixed-point iteration hit the iteration cap before the tolerance.
 
-    Plain iteration is only guaranteed contractive for large enough cost
-    weights; a damping factor theta < 1 restores convergence otherwise.
+    Reports the last increment r, the last secant Lipschitz ratio L (NaN
+    before the second iteration) and the damping 2/(2+L) it set.
     """
 
-    def __init__(self, iterations: int, last_increment: float):
+    def __init__(self, iterations: int, last_increment: float, lipschitz: float, theta: float):
         self.iterations = iterations
         self.last_increment = last_increment
+        self.lipschitz = lipschitz
+        self.theta = theta
         super().__init__(
-            f"no convergence after {iterations} iterations "
-            f"(last increment {last_increment:.3e}); the cost weight may be "
-            f"too small for plain iteration, retry with damping theta < 1")
+            f"no convergence after {iterations} iterations (last increment "
+            f"{last_increment:.3e}, Lipschitz ratio {lipschitz:.3g}, damping {theta:.3g})")
 
 
 @dataclass(frozen=True)
@@ -266,15 +267,24 @@ def evaluate_cost(U, Y: SpaceTimeField, spec: ProblemSpec) -> CostReport:
 
 
 def fixed_point_solve(spec: ProblemSpec, tgrid: TemporalGrid, xgrid: SpatialGrid,
-                      tol: float = 1e-13, max_iter: int = 200, theta: float = 1.0):
+                      tol: float = 1e-13, max_iter: int = 200):
     """Solve the discrete optimality system by projected fixed-point
     iteration on the nodal co-state Q, which starts at -nu u_init.
 
     Each iteration projects U = clamp(-Q/nu), solves for the state Y and
     the co-state P, and stops once r = ||P - Q||_2 / nu over the interior
-    nodes is below tol; otherwise Q moves to (1 - theta) Q + theta P.  The
-    clamp is 1-Lipschitz and -Q/nu is piecewise linear in x, so r bounds
+    nodes is below tol; otherwise Q moves to Q + theta (P - Q).  The clamp
+    is 1-Lipschitz and -Q/nu is piecewise linear in x, so r bounds
     |U - clamp(-P/nu)| at every point, kinks included.
+
+    The damping picks itself.  P is affine in U with the self-adjoint
+    positive semidefinite linear part S*S, and U = clamp(-Q/nu) is monotone
+    and 1-Lipschitz in Q, so the linearised map Q -> P has its eigenvalues
+    in [-L, 0], L = ||S*S||/nu.  theta = 2/(2+L) maps them into
+    [-L/(2+L), L/(2+L)]: a contraction at every nu.  The first iteration
+    takes theta = 1; each later one estimates L by the latest secant ratio
+    ||P_k - P_{k-1}|| / ||Q_k - Q_{k-1}||, whose denominator is the step
+    theta nu r just taken.
 
     Both marches stay in the sine basis, where the mass matrix is the
     diagonal mu: the state march returns Z = mu Y^, so the co-state's
@@ -289,24 +299,22 @@ def fixed_point_solve(spec: ProblemSpec, tgrid: TemporalGrid, xgrid: SpatialGrid
         raise ValueError(f"invalid problem spec, offending fields: {', '.join(bad)}")
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    if not 0.0 < theta <= 1.0:
-        raise ValueError(f"damping must lie in (0, 1], got {theta}")
     mass = assemble_mass(xgrid)
     stiffness = assemble_stiffness(xgrid)
     B = assemble_coupling(tgrid, spec.alpha)
     plan = march_plan(B, mass, stiffness)
     moments = source_moments(tgrid, spec.alpha)
-    y0_hat = sine_transform(mass.apply(l2_project(xgrid, spec.y0).coeffs))
+    y0_hat = sine_transform(load_descriptor(xgrid, spec.y0))
     yd_hat = sine_transform(load_descriptor(xgrid, spec.yd))
     yd_sq = spec.yd.l2_norm_sq()
     mu, widths = plan.mu, tgrid.widths
     shape = (tgrid.num_slabs, xgrid.num_interior)
-    work = np.empty(shape)  # the y0 forcing, the co-state march, P - Q, then Y^
+    work = np.empty(shape)  # the y0 forcing, the co-state march, then Y^
 
     u_init = min(max(0.0, spec.u_lo), spec.u_hi)  # finite for a one-sided box
     Q = np.full(shape, -spec.nu * u_init)
-    history = []
-    increment = math.inf
+    P_prev, history = None, []
+    increment, lipschitz, theta = math.inf, math.nan, 1.0
     for iterations in range(1, max_iter + 1):
         U = project_admissible(SpaceTimeField(tgrid, xgrid, Q), spec.nu, spec.u_lo, spec.u_hi)
         penalty = 0.5 * spec.nu * U.norm_l2l2_sq()
@@ -316,21 +324,24 @@ def fixed_point_solve(spec: ProblemSpec, tgrid: TemporalGrid, xgrid: SpatialGrid
         np.subtract(Z[::-1], yd_hat, out=work)  # the co-state marches on reversed time
         work *= widths[::-1, None]
         P = sine_transform(np.divide(march(plan, work, adjoint=True)[::-1], mu), overwrite=True)
-        increment = float(np.linalg.norm(np.subtract(P, Q, out=work))) / spec.nu
         Yhat = np.divide(Z, mu, out=work)
         tracking = _tracking(widths, np.einsum("ki,ki->k", Yhat, Z), Yhat @ yd_hat, yd_sq)
         history.append(CostReport(tracking=tracking, penalty=penalty, total=tracking + penalty))
+        step = np.subtract(P, Q, out=Z)  # Z is spent
+        increment = float(np.linalg.norm(step)) / spec.nu
         if increment < tol:
             Y = SpaceTimeField(tgrid, xgrid, sine_transform(Yhat, overwrite=True))
             return U, Y, SpaceTimeField(tgrid, xgrid, P), replace(
                 history[-1], iterations=iterations, final_increment=increment,
                 cost_history=tuple(rep.total for rep in history))
-        if theta < 1.0:
-            P *= theta
-            P += (1.0 - theta) * Q
-        Q = P
-        del Z  # freed before the next iteration builds its own
-    raise FixedPointDiverged(max_iter, increment)
+        if P_prev is not None:  # P_prev is spent: it becomes P below
+            lipschitz = float(np.linalg.norm(np.subtract(P, P_prev, out=P_prev))) / moved
+            theta = 2.0 / (2.0 + lipschitz)
+        Q += np.multiply(step, theta, out=step)
+        moved = theta * spec.nu * increment  # ||Q_k - Q_{k-1}||
+        P_prev = P
+        del Z, step  # freed before the next iteration builds its own
+    raise FixedPointDiverged(max_iter, increment, lipschitz, theta)
 
 
 def optimality_residual(U: ControlField, Y: SpaceTimeField, P: SpaceTimeField,

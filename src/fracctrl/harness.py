@@ -16,8 +16,7 @@ import numpy as np
 from .control import ControlField, _merge_layouts, fixed_point_solve
 from .fem import assemble_mass, assemble_stiffness, load_descriptor
 from .fracops import assemble_coupling, source_moments
-from .mesh import (SpatialGrid, TemporalGrid, build_graded,
-                   build_uniform_spatial, grading_exponents, merge_breakpoints)
+from .mesh import build_graded, build_uniform_spatial, grading_exponents, merge_breakpoints
 from .mittag import SpectralSolution, spectral_state
 from .problem import ProblemSpec, SineCombo, default_experiment_spec
 from .solver import PANEL, SourceTerm, apply_forward
@@ -62,7 +61,6 @@ class ExperimentConfig:
     fixed: int = 0                 # frozen parameter on the other axis
     tol: float = 1e-13
     max_iter: int = 200
-    theta: float = 1.0
     sigma1: float | None = None    # overrides; None = defaults from (alpha, r)
     sigma2: float | None = None
 
@@ -166,15 +164,12 @@ def clear_solve_cache() -> None:
     _solve_cache.clear()
 
 
-def _grids_for(cfg: ExperimentConfig, m: int, n: int,
-               reference: bool = False) -> tuple[TemporalGrid, SpatialGrid]:
+def _sigmas(cfg: ExperimentConfig, reference: bool = False) -> tuple[float, float]:
     # the reference stands in for the true solution, so it stays graded
     # even when the rows run on uniform grids
     if cfg.grading == "uniform" and not reference:
-        sigmas = (1.0, 1.0)
-    else:
-        sigmas = grading_exponents(cfg.alpha, cfg.r, cfg.sigma1, cfg.sigma2)
-    return build_graded(2 ** m, *sigmas, 1.0), build_uniform_spatial(n)
+        return 1.0, 1.0
+    return grading_exponents(cfg.alpha, cfg.r, cfg.sigma1, cfg.sigma2)
 
 
 def _solve_point(spec: ProblemSpec, cfg: ExperimentConfig, m: int, n: int,
@@ -185,14 +180,13 @@ def _solve_point(spec: ProblemSpec, cfg: ExperimentConfig, m: int, n: int,
     share one solve.  The cache holds at most _SOLVE_CACHE_BYTES of arrays;
     a new triple evicts the least recently used ones until it fits, and is
     kept even when it alone is larger."""
-    tgrid, xgrid = _grids_for(cfg, m, n, reference)
+    tgrid, xgrid = build_graded(2 ** m, *_sigmas(cfg, reference), 1.0), build_uniform_spatial(n)
     key = (cfg.alpha, cfg.r, tgrid.M, tgrid.sigma1, tgrid.sigma2, xgrid.n,
-           cfg.tol, cfg.max_iter, cfg.theta)
+           cfg.tol, cfg.max_iter)
     if key in _solve_cache:
         _solve_cache[key] = _solve_cache.pop(key)
         return _solve_cache[key]
-    U, Y, P, _ = fixed_point_solve(spec, tgrid, xgrid, tol=cfg.tol,
-                                   max_iter=cfg.max_iter, theta=cfg.theta)
+    U, Y, P, _ = fixed_point_solve(spec, tgrid, xgrid, tol=cfg.tol, max_iter=cfg.max_iter)
     held = sum(map(_triple_bytes, _solve_cache.values()))
     while _solve_cache and held + _triple_bytes((U, Y, P)) > _SOLVE_CACHE_BYTES:
         held -= _triple_bytes(_solve_cache.pop(next(iter(_solve_cache))))
@@ -223,10 +217,10 @@ def _study_rows(cfg: ExperimentConfig) -> ConvergenceTable:
             oY, oP, oU = (estimate_order(e0, e, p0, param)
                           for e0, e in ((eY0, eY), (eP0, eP), (eU0, eU)))
         rows.append((param, eY, oY, eP, oP, eU, oU))
-    s1, s2 = grading_exponents(cfg.alpha, cfg.r, cfg.sigma1, cfg.sigma2)
+    (s1, s2), (ref1, ref2) = _sigmas(cfg), _sigmas(cfg, reference=True)
     meta = dict(alpha=cfg.alpha, r=cfg.r, grading=cfg.grading, sigma1=s1, sigma2=s2,
-                axis=cfg.kind.split("-")[0], fixed=cfg.fixed, reference=cfg.reference,
-                norm="L2(0,T;L2(0,1))")
+                ref_sigma1=ref1, ref_sigma2=ref2, axis=cfg.kind.split("-")[0],
+                fixed=cfg.fixed, reference=cfg.reference, norm="L2(0,T;L2(0,1))")
     return ConvergenceTable(rows=rows, metadata=meta)
 
 
@@ -268,9 +262,10 @@ def render_table(table: ConvergenceTable, fmt: str = "text") -> str:
     if fmt != "text":
         raise ValueError(f"unknown table format {fmt!r}")
     md = table.metadata
+    sigmas = " ".join(f"{key}={md[key]:.4g}" for key in
+                      ("sigma1", "sigma2", "ref_sigma1", "ref_sigma2") if key in md)
     head = (f"# alpha={md.get('alpha')} r={md.get('r')} grading={md.get('grading')} "
-            f"sigma1={md.get('sigma1'):.4g} sigma2={md.get('sigma2'):.4g} "
-            f"norm={md.get('norm')}\n")
+            f"{sigmas} norm={md.get('norm')}\n")
     lines = [head,
              f"{'param':>8} | {'errY':>11} {'ordY':>5} | {'errP':>11} {'ordP':>5} "
              f"| {'errU':>11} {'ordU':>5}"]

@@ -141,8 +141,6 @@ def default_experiment_spec(alpha: float, r: float) -> ProblemSpec:
 
 # -- flat key-value config files ------------------------------------------
 
-_KINDS = {"powerlaw": PowerLaw, "zero": Zero}
-
 
 def _descriptor_items(prefix: str, f: FunctionDescriptor) -> list[tuple[str, str]]:
     if isinstance(f, TimeConstant):

@@ -70,35 +70,24 @@ PANEL = 64
 MAX_DECAY = 50.0
 
 
-def _check_shape(obj) -> None:
-    want = (obj.tgrid.num_slabs, obj.xgrid.num_interior)
-    if np.shape(obj.values) != want:
-        raise ValueError(f"{type(obj).__name__} values have shape {np.shape(obj.values)}, "
-                         f"its grids need {want}")
-
-
 @dataclass(frozen=True)
 class SpaceTimeField:
-    """Per-slab interior nodal coefficients: shape (2M, n-1)."""
+    """Per-slab interior values, shape (2M, n-1): nodal coefficients of a
+    field, or, as a `SourceTerm`, its time-integrated loads
+    src_k[i] = int_slab <g(t), phi_i> dt."""
 
     tgrid: TemporalGrid
     xgrid: SpatialGrid
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        _check_shape(self)
+        want = (self.tgrid.num_slabs, self.xgrid.num_interior)
+        if np.shape(self.values) != want:
+            raise ValueError(f"{type(self).__name__} values have shape "
+                             f"{np.shape(self.values)}, its grids need {want}")
 
 
-@dataclass(frozen=True)
-class SourceTerm:
-    """Time-integrated loads per slab: src_k[i] = int_slab <g(t), phi_i> dt."""
-
-    tgrid: TemporalGrid
-    xgrid: SpatialGrid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        _check_shape(self)
+SourceTerm = SpaceTimeField
 
 
 def _check_grids(*objs) -> tuple[TemporalGrid, SpatialGrid]:

@@ -113,7 +113,10 @@ def test_paper_scale_flag_exists():
     sub = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)][0]
     help_text = sub.choices["study"].format_help()
     assert "--paper-scale" in help_text
-    assert "--theta" in help_text and "--tol" in help_text
+    # the fixed point sets its own damping: no subcommand takes --theta
+    for name in ("ocp", "study"):
+        help_text = sub.choices[name].format_help()
+        assert "--theta" not in help_text and "--tol" in help_text
 
 
 @pytest.mark.parametrize("argv", [
@@ -128,6 +131,14 @@ def test_flag_a_subcommand_does_not_read_is_rejected(argv, capsys):
         main([*argv, "--m", "3", "--n", "8"])
     assert exc.value.code == 2
     assert argv[1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["ocp"], ["study", "temporal"]])
+def test_theta_flag_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--theta", "0.5", "--m", "3", "--n", "8"])
+    assert exc.value.code == 2
+    assert "--theta" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("axis, flag", [("spatial", "--m-ref"), ("temporal", "--n-ref")])

@@ -259,10 +259,12 @@ def test_fixed_point_unconstrained_stationarity():
 
 
 def test_fixed_point_damped_matches_undamped():
+    # the solve damps itself from its second iteration on; plain iteration
+    # (theta = 1 throughout) reaches the same control
     spec, tg, xg = small_instance(m=4, n=8)
-    U1, _, _, r1 = fixed_point_solve(spec, tg, xg, theta=1.0)
-    U2, _, _, r2 = fixed_point_solve(spec, tg, xg, theta=0.7)
-    assert r2.iterations >= r1.iterations
+    U1, _, _, iterations, _ = _nodal_fixed_point(spec, tg, xg, damped=False)
+    U2, _, _, r2 = fixed_point_solve(spec, tg, xg)
+    assert r2.iterations <= iterations
     assert np.allclose(nodal(U1), nodal(U2), atol=1e-11)
 
 
@@ -276,12 +278,26 @@ def test_stopping_rule_sees_the_kinks():
 
 
 def test_damped_solve_keeps_the_kinks_of_one_projection():
+    # damping moves Q, and U is the one projection clamp(-Q/nu): it has the
+    # kinks of clamp(-P/nu) and the cost of plain iteration
     spec, tg, xg = small_instance(m=6, n=32)
-    U1, _, _, r1 = fixed_point_solve(spec, tg, xg)
-    U2, _, _, r2 = fixed_point_solve(spec, tg, xg, theta=0.6)
-    assert kink_count(U1) == 86
-    assert kink_count(U2) == 86
-    assert r2.total == pytest.approx(r1.total, rel=1e-14, abs=0.0)
+    U, _, P, rep = fixed_point_solve(spec, tg, xg)
+    _, _, _, _, plain = _nodal_fixed_point(spec, tg, xg, damped=False)
+    assert rep.iterations > 1
+    assert kink_count(U) == 86
+    assert kink_count(project_admissible(P, spec.nu, spec.u_lo, spec.u_hi)) == 86
+    assert rep.total == pytest.approx(plain[-1], rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.4, 0.8])
+def test_fixed_point_converges_at_a_small_cost_weight(alpha):
+    # box +-10 at nu = 0.01: plain iteration needs more than the default cap
+    # (at alpha = 0.8 it does not converge at all)
+    spec0, tg, xg = small_instance(alpha=alpha, m=6, n=32)
+    spec = dataclasses.replace(spec0, nu=0.01, u_lo=-10.0, u_hi=10.0)
+    U, Y, P, rep = fixed_point_solve(spec, tg, xg)
+    assert rep.final_increment < 1e-13
+    assert rep.iterations <= 40
 
 
 def test_fixed_point_one_sided_box_starts_inside():
@@ -296,16 +312,19 @@ def test_fixed_point_one_sided_box_starts_inside():
         assert optimality_residual(U, Y, P, spec) <= 1e-12
 
 
-def _nodal_fixed_point(spec, tg, xg, theta=1.0, tol=1e-13, max_iter=200):
+def _nodal_fixed_point(spec, tg, xg, damped=True, tol=1e-13, max_iter=200):
     """The fixed point of `fixed_point_solve` composed of the public nodal
-    pieces: every source and the cost go through nodal values."""
+    pieces: every source and the cost go through nodal values.  Damped, it
+    takes theta = 2/(2+L) from the second iteration on, with L the ratio of
+    the last moves of P and Q; undamped, theta = 1 throughout."""
     mass, stiff = assemble_mass(xg), assemble_stiffness(xg)
     B = assemble_coupling(tg, spec.alpha)
     mom = source_moments(tg, spec.alpha)
     y0p = l2_project(xg, spec.y0)
     u_init = min(max(0.0, spec.u_lo), spec.u_hi)
     Q = np.full((tg.num_slabs, xg.num_interior), -spec.nu * u_init)
-    history = []
+    Q_prev = P_prev = None
+    theta, history = 1.0, []
     for iterations in range(1, max_iter + 1):
         U = project_admissible(SpaceTimeField(tg, xg, Q), spec.nu, spec.u_lo, spec.u_hi)
         Y = apply_forward(B, mass, stiff, state_source(U, y0p, mom, mass))
@@ -313,14 +332,17 @@ def _nodal_fixed_point(spec, tg, xg, theta=1.0, tol=1e-13, max_iter=200):
         history.append(evaluate_cost(U, Y, spec).total)
         if np.linalg.norm(P.values - Q) / spec.nu < tol:
             return U, Y, P, iterations, history
-        Q = (1.0 - theta) * Q + theta * P.values
+        if damped and P_prev is not None:
+            lipschitz = np.linalg.norm(P.values - P_prev) / np.linalg.norm(Q - Q_prev)
+            theta = 2.0 / (2.0 + lipschitz)
+        Q_prev, P_prev = Q, P.values
+        Q = Q + theta * (P.values - Q)
     raise AssertionError("the nodal fixed point did not converge")
 
 
-@pytest.mark.parametrize("case", ["alpha0.4-r0.25", "alpha0.8-r0", "one-sided", "damped-nu0.01"])
+@pytest.mark.parametrize("case", ["alpha0.4-r0.25", "alpha0.8-r0", "one-sided", "box10-nu0.01"])
 def test_fixed_point_matches_the_nodal_composition(case):
     # the sine-basis loop against the same iteration through nodal sources
-    theta = 1.0
     if case == "alpha0.4-r0.25":
         spec, tg, xg = small_instance(alpha=0.4, r=0.25, m=7, n=32)
     elif case == "alpha0.8-r0":
@@ -330,9 +352,9 @@ def test_fixed_point_matches_the_nodal_composition(case):
         spec = dataclasses.replace(spec0, u_lo=0.05, u_hi=math.inf)
     else:
         spec0, tg, xg = small_instance(alpha=0.4, m=6, n=32)
-        spec, theta = dataclasses.replace(spec0, nu=0.01), 0.5
-    U, Y, P, rep = fixed_point_solve(spec, tg, xg, theta=theta)
-    U_ref, Y_ref, P_ref, iterations, history = _nodal_fixed_point(spec, tg, xg, theta=theta)
+        spec = dataclasses.replace(spec0, nu=0.01, u_lo=-10.0, u_hi=10.0)
+    U, Y, P, rep = fixed_point_solve(spec, tg, xg)
+    U_ref, Y_ref, P_ref, iterations, history = _nodal_fixed_point(spec, tg, xg)
     assert rep.iterations == iterations
     assert rep.total == pytest.approx(history[-1], rel=1e-12, abs=0.0)
     assert rep.cost_history == pytest.approx(history, rel=1e-12, abs=0.0)
@@ -346,6 +368,12 @@ def test_fixed_point_iteration_cap():
         fixed_point_solve(spec, tg, xg, max_iter=1)
     assert err.value.iterations == 1
     assert err.value.last_increment > 1e-13
+    assert err.value.theta == 1.0 and math.isnan(err.value.lipschitz)
+    # later iterations report the measured ratio and the damping it set
+    with pytest.raises(FixedPointDiverged, match="Lipschitz ratio") as err:
+        fixed_point_solve(spec, tg, xg, max_iter=3)
+    assert err.value.lipschitz > 0.0
+    assert err.value.theta == pytest.approx(2.0 / (2.0 + err.value.lipschitz), rel=1e-15)
 
 
 def test_fixed_point_extra_iteration_stays_put():

@@ -257,6 +257,18 @@ def test_temporal_study_wiring():
     assert table.metadata["norm"] == "L2(0,T;L2(0,1))"
 
 
+def test_uniform_table_names_the_sigma_of_its_rows():
+    # the rows run on uniform grids, the reference on the default grading
+    clear_solve_cache()
+    table = run_temporal_study(tiny_temporal_cfg(alpha=0.4, grading="uniform"))
+    s1, s2 = default_sigmas(0.4, 0.0)
+    md = table.metadata
+    assert (md["sigma1"], md["sigma2"]) == (1.0, 1.0)
+    assert (md["ref_sigma1"], md["ref_sigma2"]) == (s1, s2)
+    head = render_table(table, "text").splitlines()[0]
+    assert f"sigma1=1 sigma2=1 ref_sigma1={s1:.4g} ref_sigma2={s2:.4g}" in head
+
+
 def test_spatial_study_wiring():
     clear_solve_cache()
     cfg = ExperimentConfig(kind="spatial-study", alpha=0.7, r=0.0,
