@@ -21,7 +21,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="tables", type=pathlib.Path)
     ap.add_argument("--paper-scale", action="store_true")
-    ap.add_argument("--tol", type=float, default=1e-13)
     args = ap.parse_args(argv)
     args.outdir.mkdir(parents=True, exist_ok=True)
 
@@ -35,12 +34,11 @@ def main(argv=None) -> int:
     jobs = []
     for r in (0.0, 0.25):
         for alpha in (0.4, 0.8):
-            cfg = harness.ExperimentConfig(kind="spatial-study", alpha=alpha, r=r,
-                                           tol=args.tol, **sp)
+            cfg = harness.ExperimentConfig(kind="spatial-study", alpha=alpha, r=r, **sp)
             jobs.append((f"spatial_alpha{alpha}_r{r}", cfg, harness.run_spatial_study))
             for grading in ("graded", "uniform"):
                 cfg = harness.ExperimentConfig(kind="temporal-study", alpha=alpha, r=r,
-                                               grading=grading, tol=args.tol, **tp)
+                                               grading=grading, **tp)
                 jobs.append((f"temporal_{grading}_alpha{alpha}_r{r}", cfg,
                              harness.run_temporal_study))
 

@@ -26,11 +26,6 @@ def _add_problem(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=str, default=None, help="output file")
 
 
-def _add_solver(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-13, help="fixed-point stopping tolerance")
-    p.add_argument("--max-iter", type=int, default=200, help="fixed-point iteration cap")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fracctrl",
@@ -46,7 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     op = sub.add_parser("ocp", help="solve one control problem instance")
     _add_problem(op)
-    _add_solver(op)
     op.add_argument("--m", type=int, default=8)
     op.add_argument("--n", type=int, default=64)
     op.add_argument("--config", type=str, default=None,
@@ -54,7 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     st = sub.add_parser("study", help="convergence study along one axis")
     _add_problem(st)
-    _add_solver(st)
     st.add_argument("axis", choices=("spatial", "temporal"))
     st.add_argument("--m", type=_int_list, default=None,
                     help="spatial study: fixed m; temporal study: comma list of rows")
@@ -91,8 +84,8 @@ def _cmd_ocp(args) -> int:
     sigmas = grading_exponents(spec.alpha, spec.r, args.sigma1, args.sigma2)
     tgrid = build_graded(2 ** args.m, *sigmas, spec.T)
     xgrid = build_uniform_spatial(args.n)
-    U, Y, P, report = fixed_point_solve(spec, tgrid, xgrid, tol=args.tol, max_iter=args.max_iter)
-    res = optimality_residual(U, Y, P, spec)
+    U, Y, P, report = fixed_point_solve(spec, tgrid, xgrid)
+    res = optimality_residual(U, P, spec)
     print(f"converged in {report.iterations} iterations, "
           f"final increment {report.final_increment:.3e}")
     print(f"J = {report.total:.10e} (tracking {report.tracking:.10e}, "
@@ -124,8 +117,7 @@ def _cmd_study(args) -> int:
                  reference=getattr(args, f"{refined}_ref"))
     cfg = harness.ExperimentConfig(
         kind=f"{args.axis}-study", alpha=args.alpha, r=args.r,
-        grading="uniform" if args.uniform else "graded", tol=args.tol,
-        max_iter=args.max_iter, sigma1=args.sigma1, sigma2=args.sigma2,
+        grading="uniform" if args.uniform else "graded", sigma1=args.sigma1, sigma2=args.sigma2,
         **{**defaults[args.paper_scale], **{k: v for k, v in given.items() if v is not None}})
     run = harness.run_spatial_study if args.axis == "spatial" else harness.run_temporal_study
     text = harness.emit_table(run(cfg), fmt=args.fmt, path=args.out)

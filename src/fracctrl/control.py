@@ -12,7 +12,7 @@ scheme has no consistency error beyond the discretization itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -34,21 +34,34 @@ __all__ = [
     "evaluate_cost",
 ]
 
-class FixedPointDiverged(RuntimeError):
-    """Fixed-point iteration hit the iteration cap before the tolerance.
+# stop once r < TOL; give up after MAX_ITER iterations, or STALL in a row
+# that set no new minimum of r
+TOL = 1e-13
+MAX_ITER = 200
+STALL = 10
 
-    Reports the last increment r, the last secant Lipschitz ratio L (NaN
-    before the second iteration) and the damping 2/(2+L) it set.
+
+class FixedPointDiverged(RuntimeError):
+    """The fixed point stopped short of r < TOL: it ran into MAX_ITER, or r
+    set no new minimum in STALL iterations in a row (``stalled``).
+
+    Reports the last and the smallest increment r, the last secant
+    Lipschitz ratio L (NaN before the second iteration) and the damping
+    2/(2+L) it set.
     """
 
-    def __init__(self, iterations: int, last_increment: float, lipschitz: float, theta: float):
+    def __init__(self, iterations: int, last_increment: float, best_increment: float,
+                 lipschitz: float, theta: float, stalled: bool):
         self.iterations = iterations
         self.last_increment = last_increment
+        self.best_increment = best_increment
         self.lipschitz = lipschitz
         self.theta = theta
+        why = (f"stalled after {iterations} iterations, the last {STALL} without a new minimum"
+               if stalled else f"no convergence after {iterations} iterations")
         super().__init__(
-            f"no convergence after {iterations} iterations (last increment "
-            f"{last_increment:.3e}, Lipschitz ratio {lipschitz:.3g}, damping {theta:.3g})")
+            f"{why} (best increment {best_increment:.3e}, last {last_increment:.3e}, "
+            f"Lipschitz ratio {lipschitz:.3g}, damping {theta:.3g})")
 
 
 @dataclass(frozen=True)
@@ -236,7 +249,6 @@ class CostReport:
     total: float
     iterations: int = 0
     final_increment: float = math.nan
-    cost_history: tuple = ()
 
 
 def _control_norm_sq(U, tgrid: TemporalGrid, mass: TriDiagonalOperator) -> float:
@@ -266,16 +278,17 @@ def evaluate_cost(U, Y: SpaceTimeField, spec: ProblemSpec) -> CostReport:
     return CostReport(tracking=tracking, penalty=penalty, total=tracking + penalty)
 
 
-def fixed_point_solve(spec: ProblemSpec, tgrid: TemporalGrid, xgrid: SpatialGrid,
-                      tol: float = 1e-13, max_iter: int = 200):
+def fixed_point_solve(spec: ProblemSpec, tgrid: TemporalGrid, xgrid: SpatialGrid):
     """Solve the discrete optimality system by projected fixed-point
     iteration on the nodal co-state Q, which starts at -nu u_init.
 
     Each iteration projects U = clamp(-Q/nu), solves for the state Y and
     the co-state P, and stops once r = ||P - Q||_2 / nu over the interior
-    nodes is below tol; otherwise Q moves to Q + theta (P - Q).  The clamp
+    nodes is below TOL; otherwise Q moves to Q + theta (P - Q).  The clamp
     is 1-Lipschitz and -Q/nu is piecewise linear in x, so r bounds
-    |U - clamp(-P/nu)| at every point, kinks included.
+    |U - clamp(-P/nu)| at every point, kinks included.  A solve that
+    reaches neither TOL within MAX_ITER iterations nor a new minimum of r
+    within STALL raises FixedPointDiverged.
 
     The damping picks itself.  P is affine in U with the self-adjoint
     positive semidefinite linear part S*S, and U = clamp(-Q/nu) is monotone
@@ -288,17 +301,15 @@ def fixed_point_solve(spec: ProblemSpec, tgrid: TemporalGrid, xgrid: SpatialGrid
 
     Both marches stay in the sine basis, where the mass matrix is the
     diagonal mu: the state march returns Z = mu Y^, so the co-state's
-    source is tau (Z - yd^) and the tracking term is
-    sum_k tau_k (Y^_k.Z_k - 2 Y^_k.yd^ + ||yd||^2).  An iteration takes two
-    transforms, of the control loads and of P; Y returns to nodes at the end.
+    source is tau (Z - yd^).  An iteration takes two transforms, of the
+    control loads and of P.  The accepted one alone takes the cost, tracking
+    as sum_k tau_k (Y^_k.Z_k - 2 Y^_k.yd^ + ||yd||^2), and returns Y to nodes.
 
     Returns (U, Y, P, CostReport) of the accepted iteration.
     """
     bad = validate(spec)
     if bad:
         raise ValueError(f"invalid problem spec, offending fields: {', '.join(bad)}")
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     mass = assemble_mass(xgrid)
     stiffness = assemble_stiffness(xgrid)
     B = assemble_coupling(tgrid, spec.alpha)
@@ -306,46 +317,46 @@ def fixed_point_solve(spec: ProblemSpec, tgrid: TemporalGrid, xgrid: SpatialGrid
     moments = source_moments(tgrid, spec.alpha)
     y0_hat = sine_transform(load_descriptor(xgrid, spec.y0))
     yd_hat = sine_transform(load_descriptor(xgrid, spec.yd))
-    yd_sq = spec.yd.l2_norm_sq()
     mu, widths = plan.mu, tgrid.widths
     shape = (tgrid.num_slabs, xgrid.num_interior)
-    work = np.empty(shape)  # the y0 forcing, the co-state march, then Y^
+    work = np.empty(shape)  # the y0 forcing, the co-state march, P - Q, then Y^
 
     u_init = min(max(0.0, spec.u_lo), spec.u_hi)  # finite for a one-sided box
     Q = np.full(shape, -spec.nu * u_init)
-    P_prev, history = None, []
-    increment, lipschitz, theta = math.inf, math.nan, 1.0
-    for iterations in range(1, max_iter + 1):
+    P_prev, best, since_best, lipschitz, theta = None, math.inf, 0, math.nan, 1.0
+    for iterations in range(1, MAX_ITER + 1):
         U = project_admissible(SpaceTimeField(tgrid, xgrid, Q), spec.nu, spec.u_lo, spec.u_hi)
-        penalty = 0.5 * spec.nu * U.norm_l2l2_sq()
         Z = sine_transform(state_source(U, None, moments, mass).values, overwrite=True)
         Z += np.multiply.outer(moments.values, y0_hat, out=work)
         march(plan, Z)
         np.subtract(Z[::-1], yd_hat, out=work)  # the co-state marches on reversed time
         work *= widths[::-1, None]
         P = sine_transform(np.divide(march(plan, work, adjoint=True)[::-1], mu), overwrite=True)
-        Yhat = np.divide(Z, mu, out=work)
-        tracking = _tracking(widths, np.einsum("ki,ki->k", Yhat, Z), Yhat @ yd_hat, yd_sq)
-        history.append(CostReport(tracking=tracking, penalty=penalty, total=tracking + penalty))
-        step = np.subtract(P, Q, out=Z)  # Z is spent
+        step = np.subtract(P, Q, out=work)  # the march's work is spent
         increment = float(np.linalg.norm(step)) / spec.nu
-        if increment < tol:
+        if increment < TOL:
+            del Q, P_prev  # spent: the cost's temporaries take their memory
+            Yhat = np.divide(Z, mu, out=work)
+            tracking = _tracking(widths, np.einsum("ki,ki->k", Yhat, Z), Yhat @ yd_hat,
+                                 spec.yd.l2_norm_sq())
+            penalty = 0.5 * spec.nu * U.norm_l2l2_sq()
             Y = SpaceTimeField(tgrid, xgrid, sine_transform(Yhat, overwrite=True))
-            return U, Y, SpaceTimeField(tgrid, xgrid, P), replace(
-                history[-1], iterations=iterations, final_increment=increment,
-                cost_history=tuple(rep.total for rep in history))
+            return U, Y, SpaceTimeField(tgrid, xgrid, P), CostReport(
+                tracking, penalty, tracking + penalty, iterations, increment)
+        best, since_best = (increment, 0) if increment < best else (best, since_best + 1)
+        if since_best == STALL:
+            raise FixedPointDiverged(iterations, increment, best, lipschitz, theta, stalled=True)
         if P_prev is not None:  # P_prev is spent: it becomes P below
             lipschitz = float(np.linalg.norm(np.subtract(P, P_prev, out=P_prev))) / moved
             theta = 2.0 / (2.0 + lipschitz)
         Q += np.multiply(step, theta, out=step)
         moved = theta * spec.nu * increment  # ||Q_k - Q_{k-1}||
         P_prev = P
-        del Z, step  # freed before the next iteration builds its own
-    raise FixedPointDiverged(max_iter, increment, lipschitz, theta)
+        del Z  # freed before the next iteration builds its own
+    raise FixedPointDiverged(MAX_ITER, increment, best, lipschitz, theta, stalled=False)
 
 
-def optimality_residual(U: ControlField, Y: SpaceTimeField, P: SpaceTimeField,
-                        spec: ProblemSpec) -> float:
+def optimality_residual(U: ControlField, P: SpaceTimeField, spec: ProblemSpec) -> float:
     """Max over space-time of |U - clamp(-P/nu)|.
 
     Zero at the exact discrete solution; equivalent to the variational

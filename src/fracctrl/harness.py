@@ -59,8 +59,6 @@ class ExperimentConfig:
     points: tuple = ()             # run points on the study axis (m or n values)
     reference: int = 0             # reference parameter on the study axis
     fixed: int = 0                 # frozen parameter on the other axis
-    tol: float = 1e-13
-    max_iter: int = 200
     sigma1: float | None = None    # overrides; None = defaults from (alpha, r)
     sigma2: float | None = None
 
@@ -175,18 +173,17 @@ def _sigmas(cfg: ExperimentConfig, reference: bool = False) -> tuple[float, floa
 def _solve_point(spec: ProblemSpec, cfg: ExperimentConfig, m: int, n: int,
                  reference: bool = False):
     """Solve on the grids that (m, n) and the grading of cfg build, through
-    a least-recently-used cache keyed on those grids and the solver
-    settings, so that a spatial and a temporal reference on the same grids
+    a least-recently-used cache keyed on those grids and the problem's
+    parameters, so that a spatial and a temporal reference on the same grids
     share one solve.  The cache holds at most _SOLVE_CACHE_BYTES of arrays;
     a new triple evicts the least recently used ones until it fits, and is
     kept even when it alone is larger."""
     tgrid, xgrid = build_graded(2 ** m, *_sigmas(cfg, reference), 1.0), build_uniform_spatial(n)
-    key = (cfg.alpha, cfg.r, tgrid.M, tgrid.sigma1, tgrid.sigma2, xgrid.n,
-           cfg.tol, cfg.max_iter)
+    key = (cfg.alpha, cfg.r, tgrid.M, tgrid.sigma1, tgrid.sigma2, xgrid.n)
     if key in _solve_cache:
         _solve_cache[key] = _solve_cache.pop(key)
         return _solve_cache[key]
-    U, Y, P, _ = fixed_point_solve(spec, tgrid, xgrid, tol=cfg.tol, max_iter=cfg.max_iter)
+    U, Y, P, _ = fixed_point_solve(spec, tgrid, xgrid)
     held = sum(map(_triple_bytes, _solve_cache.values()))
     while _solve_cache and held + _triple_bytes((U, Y, P)) > _SOLVE_CACHE_BYTES:
         held -= _triple_bytes(_solve_cache.pop(next(iter(_solve_cache))))

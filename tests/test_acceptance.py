@@ -211,14 +211,14 @@ def test_criterion_8_optimizer_contract():
     s1, s2 = default_sigmas(0.8, 0.0)
     tg = build_graded(2 ** 8, s1, s2, 1.0)
     xg = build_uniform_spatial(64)
-    U, Y, P, rep = fixed_point_solve(spec, tg, xg, tol=1e-13, max_iter=200)
+    U, Y, P, rep = fixed_point_solve(spec, tg, xg)
     assert rep.final_increment < 1e-13
     assert rep.iterations <= 200
     # feasibility holds everywhere: piecewise linear, so the breakpoint
     # values control the extrema
     for xs, vs in U.pieces:
         assert vs.min() >= spec.u_lo - 1e-14 and vs.max() <= spec.u_hi + 1e-14
-    res = optimality_residual(U, Y, P, spec)
+    res = optimality_residual(U, P, spec)
     assert res <= 1e-10
     # zero-control comparison
     mass, stiff = assemble_mass(xg), assemble_stiffness(xg)

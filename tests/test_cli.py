@@ -113,10 +113,11 @@ def test_paper_scale_flag_exists():
     sub = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)][0]
     help_text = sub.choices["study"].format_help()
     assert "--paper-scale" in help_text
-    # the fixed point sets its own damping: no subcommand takes --theta
+    # the fixed point sets its own damping, tolerance and cap: no subcommand
+    # takes --theta or --tol
     for name in ("ocp", "study"):
         help_text = sub.choices[name].format_help()
-        assert "--theta" not in help_text and "--tol" in help_text
+        assert "--theta" not in help_text and "--tol" not in help_text
 
 
 @pytest.mark.parametrize("argv", [
@@ -133,12 +134,20 @@ def test_flag_a_subcommand_does_not_read_is_rejected(argv, capsys):
     assert argv[1] in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["ocp"], ["study", "temporal"]])
+@pytest.mark.parametrize("argv", [
+    ["ocp", "--theta", "0.5"],
+    ["study", "temporal", "--theta", "0.5"],
+    ["ocp", "--tol", "1e-9"],
+    ["study", "temporal", "--tol", "1e-9"],
+    ["ocp", "--max-iter", "5"],
+    ["study", "temporal", "--max-iter", "5"],
+])
 def test_theta_flag_is_rejected(argv, capsys):
+    # the solver's settings are not flags: damping, tolerance and cap
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--theta", "0.5", "--m", "3", "--n", "8"])
+        main([*argv, "--m", "3", "--n", "8"])
     assert exc.value.code == 2
-    assert "--theta" in capsys.readouterr().err
+    assert argv[-2] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("axis, flag", [("spatial", "--m-ref"), ("temporal", "--n-ref")])
