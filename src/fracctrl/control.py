@@ -19,7 +19,7 @@ import numpy as np
 
 from .fem import TriDiagonalOperator, assemble_mass, assemble_stiffness, load_descriptor
 from .fracops import assemble_coupling, source_moments
-from .mesh import MERGE_RTOL, SpatialGrid, TemporalGrid
+from .mesh import SpatialGrid, TemporalGrid
 from .problem import ProblemSpec, validate
 from .solver import SpaceTimeField, march, march_plan, sine_transform, state_source
 
@@ -95,25 +95,16 @@ class ControlField:
         order = np.lexsort((s, e, k))
         return k[order], e[order], s[order], b[order]
 
-    def layout(self, k0: int, k1: int) -> tuple:
-        """The flat layout (x, v, offsets) of slabs k0+1..k1: each slab's
-        breakpoints are the element nodes and the cuts in x order, with the
-        control's values there; offsets start from 0."""
-        k, e, s, b = self._kinks
-        i0, i1 = np.searchsorted(k, (k0, k1))
-        k, e, s, b = k[i0:i1] - k0, e[i0:i1], s[i0:i1], b[i0:i1]
-        xg, n = self.xgrid, self.xgrid.n
-        at = k * (n + 1) + e + 1  # right after the element's left node
-        x = np.insert(np.tile(xg.nodes, k1 - k0), at, xg.nodes[e] + xg.h * s)
-        v = np.insert(np.clip(self.w[k0:k1], self.u_lo, self.u_hi).ravel(), at, b)
-        offsets = np.concatenate(([0], np.cumsum(n + 1 + np.bincount(k, minlength=k1 - k0))))
-        return x, v, offsets
-
     @cached_property
     def pieces(self) -> tuple:
-        """Per-slab (breakpoints, values) views of the layout of all slabs."""
-        x, v, offsets = self.layout(0, self.tgrid.num_slabs)
-        cuts = offsets[1:-1]
+        """Per-slab (breakpoints, values): the element nodes and the cuts in
+        x order, with the control's values there."""
+        k, e, s, b = self._kinks
+        xg, n, slabs = self.xgrid, self.xgrid.n, self.tgrid.num_slabs
+        at = k * (n + 1) + e + 1  # right after the element's left node
+        x = np.insert(np.tile(xg.nodes, slabs), at, xg.nodes[e] + xg.h * s)
+        v = np.insert(np.clip(self.w, self.u_lo, self.u_hi).ravel(), at, b)
+        cuts = np.cumsum(n + 1 + np.bincount(k, minlength=slabs))[:-1]
         return tuple(zip(np.split(x, cuts), np.split(v, cuts)))
 
     def evaluate(self, k: int, x) -> np.ndarray:
@@ -143,11 +134,7 @@ class ControlField:
     def _values_at(self, k, x) -> np.ndarray:
         """clip(np.interp(x, nodes, w[k]), u_lo, u_hi) for broadcast arrays k
         (0-based) and x."""
-        k, x = np.broadcast_arrays(np.asarray(k), np.asarray(x, dtype=float))
-        nodes = self.xgrid.nodes
-        e = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, self.xgrid.n - 1)
-        vals = _lerp(nodes[e], nodes[e + 1], self.w[k, e], self.w[k, e + 1], x)
-        return np.clip(vals, self.u_lo, self.u_hi)
+        return _interp_clip(self.xgrid.nodes, self.w, self.u_lo, self.u_hi, k, x)
 
 
 def _kinked_elements(U: ControlField) -> tuple:
@@ -173,41 +160,20 @@ def _simpson(s: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
                   * (f[:, :-1] * g[:, :-1] + 4.0 * fm * gm + f[:, 1:] * g[:, 1:]), axis=1)
 
 
-def _lerp(xl, xr, vl, vr, x) -> np.ndarray:
-    """Values at x on the pieces from (xl, vl) to (xr, vr), as np.interp
-    forms them; exact at both ends of a piece, also of a zero-width one."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inside = (vr - vl) / (xr - xl) * (x - xl) + vl
-    return np.where(x >= xr, vr, np.where(x <= xl, vl, inside))
-
-
-def _merge_layouts(a: tuple, ka: np.ndarray, b: tuple, kb: np.ndarray) -> tuple:
-    """Merged breakpoints (flat), their count per row, and the values of a
-    and b there, for two flat layouts (x, v, offsets) on [0, 1].
-
-    Row i merges slab ka[i]+1 of a with slab kb[i]+1 of b as
-    merge_breakpoints does (span 1).  Rows are padded with their right
-    endpoints and sorted stably, so a point of a precedes an equal point of
-    b, and the running count of a side's own points names its piece holding
-    each merged point, the one np.interp picks."""
-    rows = []
-    for (_, _, off), k in ((a, ka), (b, kb)):
-        first, last = off[k][:, None], off[k + 1][:, None] - 1
-        rows.append(np.minimum(first + np.arange(np.max(last - first) + 1), last))
-    keys = np.concatenate([a[0][rows[0]], b[0][rows[1]]], axis=1)
-    order = np.argsort(keys, axis=1, kind="stable")
-    keys = np.take_along_axis(keys, order, axis=1)
-    keep = np.ones(keys.shape, dtype=bool)
-    keep[:, 1:] = np.diff(keys, axis=1) > MERGE_RTOL
-    x, counts = keys[keep], keep.sum(axis=1)
-    x[np.cumsum(counts) - 1] = a[0][rows[0][:, -1]]  # each right endpoint stays exact
-    from_a = order < rows[0].shape[1]
-    vals = []
-    for (xs, vs, _), row, own in zip((a, b), rows, (from_a, ~from_a)):
-        piece = np.clip(np.cumsum(own, axis=1) - 1, 0, row[:, -1:] - row[:, :1] - 1)
-        j = (row[:, :1] + piece)[keep]
-        vals.append(_lerp(xs[j], xs[j + 1], vs[j], vs[j + 1], x))
-    return x, counts, vals[0], vals[1]
+def _interp_clip(nodes, v, lo, hi, k, x) -> np.ndarray:
+    """clip(np.interp(x, nodes, v[k]), lo, hi) bit for bit, for rows k (an
+    array broadcast against x, or a slice) and abscissae x: a control's w with
+    its box, or a state's rows with their zero ends and no box."""
+    x = np.asarray(x, dtype=float)
+    e = np.searchsorted(nodes[1:-1], x, side="right")  # the end elements extend outward
+    xl, xr, vl, vr = nodes[e], nodes[e + 1], v[k, e], v[k, e + 1]
+    out = np.asarray(vr - vl)
+    out /= xr - xl
+    out *= x - xl
+    out += vl
+    np.copyto(out, vl, where=x <= xl)  # beyond the ends, np.interp holds the end values
+    np.copyto(out, vr, where=x >= xr)
+    return np.minimum(np.maximum(out, lo, out=out), hi, out=out)
 
 
 def project_admissible(P: SpaceTimeField, nu: float, u_lo: float, u_hi: float) -> ControlField:

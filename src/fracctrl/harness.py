@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .control import ControlField, _merge_layouts, fixed_point_solve
+from .control import ControlField, _interp_clip, fixed_point_solve
 from .fem import assemble_mass, assemble_stiffness, load_descriptor
 from .fracops import assemble_coupling, source_moments
 from .mesh import build_graded, build_uniform_spatial, grading_exponents, merge_breakpoints
@@ -96,27 +96,60 @@ def estimate_order(e1: float, e2: float, p1: float, p2: float) -> float:
 # -- exact space-time error --------------------------------------------------
 
 
-def _block_layout(F, k: np.ndarray) -> tuple:
-    """The flat layout (x, v, offsets) of slabs k[0]+1..k[-1]+1 of a field,
-    and the nondecreasing 0-based slab indices k relative to it.  A state
-    field enters through its nodal layout, with the zero Dirichlet values at
-    both ends, built for those slabs only."""
-    k0, k1 = int(k[0]), int(k[-1]) + 1
+def _slab_rows(F, ks) -> tuple:
+    """_interp_clip's (nodes, v, lo, hi) for slabs ks of a field: a state's
+    rows take their zero Dirichlet ends and no box."""
     if isinstance(F, ControlField):
-        return F.layout(k0, k1), k - k0
-    n = F.xgrid.n
-    return (np.tile(F.xgrid.nodes, k1 - k0), np.pad(F.values[k0:k1], ((0, 0), (1, 1))).ravel(),
-            np.arange(k1 - k0 + 1) * (n + 1)), k - k0
+        return F.xgrid.nodes, F.w[ks], F.u_lo, F.u_hi
+    v = np.zeros((ks.size, F.xgrid.n + 1))
+    v[:, 1:-1] = F.values[ks]
+    return F.xgrid.nodes, v, -math.inf, math.inf
+
+
+def _cut_pieces(fields, X: np.ndarray) -> tuple:
+    """Merged slabs i (sorted) and lattice pieces j of the pieces that hold a
+    kink cut of a control among the (field, merged slab -> its slab) pairs,
+    and a row of breakpoints for each: its ends, its cuts in x order, and
+    the right end again as padding."""
+    rows, x = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    for F, kf in fields:
+        if isinstance(F, ControlField):  # each cut on every merged slab reading its slab
+            k, e, s, _ = F._kinks
+            first = np.searchsorted(kf, k, side="left")
+            count = np.searchsorted(kf, k, side="right") - first
+            rows.append(np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum()))
+            x.append(np.repeat(F.xgrid.nodes[e] + F.xgrid.h * s, count))
+    rows, x = np.concatenate(rows), np.concatenate(x)
+    key = rows * (X.size - 1) + np.searchsorted(X[1:-1], x, side="right")
+    order = np.lexsort((x, key))
+    key, x = key[order], x[order]
+    new = np.diff(key, prepend=-1) != 0
+    piece = np.cumsum(new) - 1
+    col = np.arange(key.size) - np.flatnonzero(new)[piece] + 1
+    i, j = np.divmod(key[new], X.size - 1)
+    pts = np.repeat(X[j + 1, None], np.max(col, initial=0) + 2, axis=1)
+    pts[:, 0] = X[j]
+    pts[piece, col] = x
+    return i, j, pts
+
+
+def _piece_terms(x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """dx (dl^2 + dl dr + dr^2), three times the integral of d^2, on each
+    piece of a d linear between the breakpoints x along the last axis."""
+    dl, dr = d[..., :-1], d[..., 1:]
+    return np.diff(x) * (dl * dl + dl * dr + dr * dr)
 
 
 def error_l2l2(A, B) -> float:
     """Exact L2(0,T; L2(0,1)) distance between two piecewise-constant-in-time
-    fields on their own temporal grids.
+    fields, states or controls, each on its own temporal and spatial grid.
 
-    Merges the temporal breakpoints; on each merged slab the spatial
-    difference is piecewise linear on the union of both breakpoint rows
-    (control kinks included), so w dx (dl^2 + dl dr + dr^2)/3 integrates
-    each piece exactly, PANEL merged slabs per array expression.
+    Both temporal grids merge once, and both spatial node sets once into the
+    lattice X.  Both fields are evaluated at X on PANEL merged slabs at a
+    time (a control as the clamp of its interpolated w), and their
+    difference d, linear between lattice points, integrates exactly as
+    dx (dl^2 + dl dr + dr^2)/3 per piece.  A piece that holds kink cuts (at
+    most two of each control) is integrated on its ends and cuts instead.
     """
     ta, tb = A.tgrid.nodes, B.tgrid.nodes
     if ta[0] != tb[0] or ta[-1] != tb[-1]:
@@ -126,22 +159,19 @@ def error_l2l2(A, B) -> float:
     ka = np.clip(np.searchsorted(ta, mids, side="right") - 1, 0, A.tgrid.num_slabs - 1)
     kb = np.clip(np.searchsorted(tb, mids, side="right") - 1, 0, B.tgrid.num_slabs - 1)
     widths = np.diff(ts)
-
-    same_state_grid = (not isinstance(A, ControlField) and not isinstance(B, ControlField)
-                       and A.xgrid.n == B.xgrid.n)
-    if same_state_grid:
-        d = A.values[ka] - B.values[kb]
-        total = float(np.einsum("k,ki,ki->", widths, d, assemble_mass(A.xgrid).apply(d)))
-        return math.sqrt(max(0.0, total))
+    X = merge_breakpoints(A.xgrid.nodes, B.xgrid.nodes)
+    i, j, pts = _cut_pieces(((A, ka), (B, kb)), X)
     total = 0.0
     for k0 in range(0, widths.size, PANEL):
         ks = slice(k0, k0 + PANEL)
-        x, counts, va, vb = _merge_layouts(*_block_layout(A, ka[ks]), *_block_layout(B, kb[ks]))
-        d = va - vb
-        dl, dr = d[:-1], d[1:]
-        # x falls from 1 to 0 between rows: those seams get zero width
-        w = np.repeat(widths[ks], counts)[:-1] * np.maximum(np.diff(x), 0.0)
-        total += float(w @ (dl * dl + dl * dr + dr * dr))
+        ra, rb = _slab_rows(A, ka[ks]), _slab_rows(B, kb[ks])
+        d = _interp_clip(*ra, slice(None), X) - _interp_clip(*rb, slice(None), X)
+        terms = _piece_terms(X, d)
+        g = slice(*np.searchsorted(i, (k0, k0 + PANEL)))
+        rows, x = i[g] - k0, pts[g]
+        d = _interp_clip(*ra, rows[:, None], x) - _interp_clip(*rb, rows[:, None], x)
+        terms[rows, j[g]] = _piece_terms(x, d).sum(axis=1)
+        total += float(widths[ks] @ terms.sum(axis=1))
     return math.sqrt(max(0.0, total / 3.0))
 
 

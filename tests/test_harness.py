@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from fracctrl.control import ControlField, _merge_layouts, project_admissible
+from fracctrl.control import ControlField, project_admissible
 from fracctrl.harness import (ConvergenceTable, ExperimentConfig,
                               clear_solve_cache, emit_table, error_l2l2,
                               estimate_order, forward_single_mode_error,
                               read_table_csv, render_table, run_spatial_study,
                               run_temporal_study)
 from fracctrl import harness
-from fracctrl.mesh import (build_graded, build_uniform_spatial, default_sigmas,
-                           merge_breakpoints)
+from fracctrl.mesh import (SpatialGrid, build_graded, build_uniform_spatial,
+                           default_sigmas, merge_breakpoints)
 from fracctrl.solver import SpaceTimeField
 
 
@@ -177,27 +177,33 @@ def test_error_across_both_grids_matches_per_slab_reference(rng):
     Y = make_field(tg2, x2, rng, 0.3)
     Ua = project_admissible(make_field(tg1, x1, rng, 0.3), 1.0, -0.1, 0.1)
     Ub = project_admissible(Y, 1.0, 0.02, 0.2)  # nonzero at x = 0 and x = 1
-    for U in (Ua, Ub):  # with kinks
+    Uo = project_admissible(make_field(tg2, x2, rng, 0.3), 1.0, 0.05, math.inf)  # one-sided
+    for U in (Ua, Ub, Uo):  # with kinks
         assert sum(xs.size for xs, _ in U.pieces) > U.tgrid.num_slabs * (U.xgrid.n + 1)
-    for A, B in ((Ua, Ub), (Ub, Ua), (Ua, Y), (Y, Ua)):
+    pairs = [(Ua, Ub), (Ub, Ua), (Ua, Y), (Y, Ua), (Uo, Ua), (Ua, Uo), (Uo, Y)]
+
+    # on the lattice of n=8 and n=4, the piece [3/8, 1/2] holds two cuts of
+    # each control on every slab
+    tg = build_graded(4, 1.0, 1.0, 1.0)
+    x4, x8 = build_uniform_spatial(4), build_uniform_spatial(8)
+    grow = 1.0 + 0.1 * np.arange(tg.num_slabs)[:, None]
+    Ca = ControlField(tg, x8, -0.1, 0.1, grow * [0, 0, 0, -0.2, 0.2, 0, 0, 0, 0])
+    Cb = ControlField(tg, x4, -0.1, 0.1, grow * [0, -0.9, 0.3, 0, 0])
+    for C in (Ca, Cb):
+        assert all(np.sum((xs > 0.375) & (xs < 0.5)) == 2 for xs, _ in C.pieces)
+    # cuts at the lattice point 3/8, and 1.25e-15 (within MERGE_RTOL) above it
+    on, near = (ControlField(tg, x4, -0.1, hi, np.tile([0, 0, 0.2, 0, 0], (tg.num_slabs, 1)))
+                for hi in (0.1, 0.1 + 1e-15))
+    assert on.pieces[0][0][2] == 0.375 and 0.0 < near.pieces[0][0][2] - 0.375 < 1e-14
+    pairs += [(Ca, Cb), (Cb, Ca), (on, Ca), (Ca, near), (near, make_field(tg, x8, rng, 0.1))]
+
+    # a spatial study's pair: one temporal grid of 80 slabs, n=10 against n=256
+    tg80 = build_graded(40, 1.5, 1.0, 1.0)
+    Y10, Y256 = (make_field(tg80, build_uniform_spatial(n), rng, 0.3) for n in (10, 256))
+    U10, U256 = (project_admissible(F, 1.0, -0.1, 0.1) for F in (Y10, Y256))
+    pairs += [(U10, U256), (U256, U10), (Y10, Y256), (Y10, U256)]
+    for A, B in pairs:
         assert error_l2l2(A, B) == pytest.approx(per_slab_error(A, B), rel=1e-13, abs=0.0)
-
-
-def layout_pieces(layout):
-    """Per-slab (breakpoints, values) of a flat layout (x, v, offsets)."""
-    x, v, offsets = layout
-    return zip(np.split(x, offsets[1:-1]), np.split(v, offsets[1:-1]))
-
-
-def per_slab_blend(a, b, w1, w2):
-    """w1 a + w2 b on the breakpoints that merge_breakpoints gives per slab,
-    for two flat layouts, as a flat layout."""
-    rows = []
-    for (x1, v1), (x2, v2) in zip(layout_pieces(a), layout_pieces(b)):
-        xs = merge_breakpoints(x1, x2)
-        rows.append((xs, w1 * np.interp(xs, x1, v1) + w2 * np.interp(xs, x2, v2)))
-    xs, vs = (np.concatenate(col) for col in zip(*rows))
-    return xs, vs, np.concatenate(([0], np.cumsum([row[0].size for row in rows])))
 
 
 def test_error_merges_rows_like_merge_breakpoints(rng):
@@ -208,26 +214,24 @@ def test_error_merges_rows_like_merge_breakpoints(rng):
     Ua, Ub = (project_admissible(make_field(tg, xg, rng, 0.3), 1.0, -0.1, 0.1)
               for _ in range(2))
     assert error_l2l2(Ua, Ub) == pytest.approx(per_slab_error(Ua, Ub), rel=1e-13, abs=0.0)
-    a, b = Ua.layout(0, tg.num_slabs), Ub.layout(0, tg.num_slabs)
-    # breakpoints moved by less than the merge tolerance coalesce, and the
-    # right endpoint stays exact when a point just below it comes first
-    near_x = a[0] + np.where(np.isin(a[0], xg.nodes), 0.0, 3e-15)
-    near_x[a[2][1] - 2] = 1.0 - 3e-15
-    near = (near_x, a[1][::-1], a[2])
-    merged = per_slab_blend(a, b, 0.3, 0.7)  # a merged layout, merged again below
-    ks = np.arange(tg.num_slabs)
-    for A, B in ((a, near), (near, a), (merged, a), (b, merged)):
-        x, counts, va, vb = _merge_layouts(A, ks, B, ks)
-        assert counts.sum() == x.size == va.size == vb.size
-        start = 0
-        for (xa, fa), (xb, fb), c in zip(layout_pieces(A), layout_pieces(B), counts):
-            xs = merge_breakpoints(xa, xb)
-            assert np.array_equal(x[start:start + c], xs)
-            assert np.allclose(va[start:start + c], np.interp(xs, xa, fa), rtol=0.0, atol=1e-15)
-            assert np.allclose(vb[start:start + c], np.interp(xs, xb, fb), rtol=0.0, atol=1e-15)
-            start += c
-        if A is near or B is near:
-            assert np.array_equal(x, a[0])
+    # interior nodes moved by 3e-15, less than the merge tolerance, coalesce
+    # with the unmoved ones: the same nodal values are the same field
+    Y = make_field(tg, xg, rng, 0.3)
+    for shift in (3e-15, -3e-15):
+        moved = SpatialGrid(xg.n, xg.h, xg.nodes + np.r_[0.0, np.full(xg.n - 1, shift), 0.0])
+        Ym, Um = SpaceTimeField(tg, moved, Y.values), ControlField(tg, moved, -0.1, 0.1, Ua.w)
+        assert error_l2l2(Y, Ym) < 1e-14 and error_l2l2(Ua, Um) < 1e-14
+        for A, B in ((Um, Ub), (Ub, Um), (Ym, Ua)):
+            assert error_l2l2(A, B) == pytest.approx(per_slab_error(A, B), rel=1e-13, abs=0.0)
+    # a last interior node 3e-15 below 1 comes first in the merge, yet the
+    # lattice ends at 1 exactly, where the field vanishes: its nodal values
+    # there describe it on xg
+    end = SpatialGrid(xg.n, xg.h, np.r_[xg.nodes[:-2], 1.0 - 3e-15, 1.0])
+    Ye = SpaceTimeField(tg, end, Y.values)
+    on_xg = [np.interp(xg.interior, end.nodes, np.r_[0.0, v, 0.0]) for v in Y.values]
+    assert error_l2l2(Ye, SpaceTimeField(tg, xg, np.array(on_xg))) < 1e-14
+    for A, B in ((Ye, Y), (Ua, Ye)):
+        assert error_l2l2(A, B) == pytest.approx(per_slab_error(A, B), rel=1e-13, abs=0.0)
 
 
 def test_error_rejects_interval_mismatch(rng):
