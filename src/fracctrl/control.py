@@ -102,7 +102,7 @@ class ControlField:
         k, e, s, b = self._kinks
         xg, n, slabs = self.xgrid, self.xgrid.n, self.tgrid.num_slabs
         at = k * (n + 1) + e + 1  # right after the element's left node
-        x = np.insert(np.tile(xg.nodes, slabs), at, xg.nodes[e] + xg.h * s)
+        x = np.insert(np.tile(xg.nodes, slabs), at, _cut_abscissae(xg.nodes, e, s))
         v = np.insert(np.clip(self.w, self.u_lo, self.u_hi).ravel(), at, b)
         cuts = np.cumsum(n + 1 + np.bincount(k, minlength=slabs))[:-1]
         return tuple(zip(np.split(x, cuts), np.split(v, cuts)))
@@ -135,6 +135,13 @@ class ControlField:
         """clip(np.interp(x, nodes, w[k]), u_lo, u_hi) for broadcast arrays k
         (0-based) and x."""
         return _interp_clip(self.xgrid.nodes, self.w, self.u_lo, self.u_hi, k, x)
+
+
+def _cut_abscissae(nodes: np.ndarray, e: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """x of the cuts at local abscissae s in elements e, each scaled by its
+    own element's width: the nodes need not be uniform."""
+    xl = nodes[e]
+    return xl + (nodes[e + 1] - xl) * s
 
 
 def _kinked_elements(U: ControlField) -> tuple:
@@ -335,6 +342,6 @@ def optimality_residual(U: ControlField, P: SpaceTimeField, spec: ProblemSpec) -
     d = np.clip(V.w, V.u_lo, V.u_hi)
     d -= np.clip(U.w, U.u_lo, U.u_hi)
     k, e, s = (np.concatenate(pair) for pair in zip(U._kinks[:3], V._kinks[:3]))
-    x = U.xgrid.nodes[e] + U.xgrid.h * s
+    x = _cut_abscissae(U.xgrid.nodes, e, s)
     at_kinks = np.abs(U._values_at(k, x) - V._values_at(k, x))
     return max(float(np.max(np.abs(d, out=d))), float(np.max(at_kinks, initial=0.0)))

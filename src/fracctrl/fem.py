@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .mesh import SpatialGrid
 from .problem import FunctionDescriptor, PowerLaw, SineCombo, TimeConstant, Zero
@@ -147,6 +146,9 @@ def load_descriptor(grid: SpatialGrid, f: FunctionDescriptor) -> np.ndarray:
 
 def solve_tridiagonal(op: TriDiagonalOperator, rhs: np.ndarray) -> np.ndarray:
     """Solve op x = rhs for a symmetric positive definite operator."""
+    # imported here so that `import fracctrl` does not load scipy.linalg; no solve calls this
+    from scipy.linalg import solveh_banded
+
     m = op.diag.size
     ab = np.zeros((2, m))
     ab[0, 1:] = op.sup

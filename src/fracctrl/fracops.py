@@ -34,7 +34,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .mesh import TemporalGrid
 
@@ -169,6 +168,9 @@ def half_derivative_oracle(grid: TemporalGrid, alpha: float, j: int, k: int) -> 
         raise IndexError(f"slab indices ({j}, {k}) out of range")
     if j > k:
         return 0.0
+    # imported here so that `import fracctrl` does not load scipy.integrate; only tests call this oracle
+    from scipy.integrate import quad
+
     a2 = 0.5 * alpha
     inv_g2 = 1.0 / math.gamma(1.0 - a2) ** 2
     t = grid.nodes

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .control import ControlField, _interp_clip, fixed_point_solve
+from .control import ControlField, _cut_abscissae, _interp_clip, fixed_point_solve
 from .fem import assemble_mass, assemble_stiffness, load_descriptor
 from .fracops import assemble_coupling, source_moments
 from .mesh import build_graded, build_uniform_spatial, grading_exponents, merge_breakpoints
@@ -118,7 +118,7 @@ def _cut_pieces(fields, X: np.ndarray) -> tuple:
             first = np.searchsorted(kf, k, side="left")
             count = np.searchsorted(kf, k, side="right") - first
             rows.append(np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum()))
-            x.append(np.repeat(F.xgrid.nodes[e] + F.xgrid.h * s, count))
+            x.append(np.repeat(_cut_abscissae(F.xgrid.nodes, e, s), count))
     rows, x = np.concatenate(rows), np.concatenate(x)
     key = rows * (X.size - 1) + np.searchsorted(X[1:-1], x, side="right")
     order = np.lexsort((x, key))

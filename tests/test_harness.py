@@ -234,6 +234,21 @@ def test_error_merges_rows_like_merge_breakpoints(rng):
         assert error_l2l2(A, B) == pytest.approx(per_slab_error(A, B), rel=1e-13, abs=0.0)
 
 
+def test_error_cuts_on_nonuniform_nodes():
+    # U = clamp(w) on nodes (0, .1, .2, .6, 1) with w = 0.4 at x = 0.6 is
+    # x - 0.2 on [0.2, 0.3], 0.1 on [0.3, 0.9] and 1 - x on [0.9, 1]: its
+    # squared norm is 0.1^2 * 0.6 + 2 * 0.1^3 / 3 on each slab, and T = 1
+    tg = build_graded(2, 1.0, 1.0, 1.0)
+    xg = SpatialGrid(4, 0.25, np.array([0.0, 0.1, 0.2, 0.6, 1.0]))
+    w = np.zeros((tg.num_slabs, 5))
+    w[:, 3] = 0.4
+    U = ControlField(tg, xg, -0.1, 0.1, w)
+    zero = SpaceTimeField(tg, build_uniform_spatial(4), np.zeros((tg.num_slabs, 3)))
+    exact = math.sqrt(0.006 + 2e-3 / 3.0)
+    assert error_l2l2(U, zero) == pytest.approx(exact, rel=1e-14, abs=0.0)
+    assert error_l2l2(zero, U) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
 def test_error_rejects_interval_mismatch(rng):
     xg = build_uniform_spatial(4)
     A = make_field(build_graded(2, 1.0, 1.0, 1.0), xg, rng)
