@@ -9,7 +9,7 @@ from .control import (ControlField, CostReport, FixedPointDiverged,
                       optimality_residual, project_admissible)
 from .fem import (NodalFunction, TriDiagonalOperator, assemble_mass,
                   assemble_stiffness, l2_project, load_descriptor,
-                  load_powerlaw, solve_tridiagonal)
+                  load_powerlaw, sine_transform, solve_tridiagonal)
 from .fracops import (KernelMoments, OracleToleranceError,
                       TemporalCouplingMatrix, assemble_coupling,
                       half_derivative_oracle, source_moments)
@@ -24,6 +24,6 @@ from .problem import (FunctionDescriptor, PowerLaw, ProblemSpec, SineCombo,
                       from_config_text, to_config_text, validate)
 from .solver import (MarchPlan, SourceTerm, SpaceTimeField, adjoint_source,
                      apply_adjoint, apply_forward, check_adjoint_identity,
-                     field_inner, march, march_plan, sine_transform, state_source)
+                     field_inner, march, march_plan, state_source)
 
 __version__ = "0.1.0"

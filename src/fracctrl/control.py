@@ -17,11 +17,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .fem import TriDiagonalOperator, assemble_mass, assemble_stiffness, load_descriptor
+from .fem import (TriDiagonalOperator, assemble_mass, assemble_stiffness, load_descriptor,
+                  sine_transform)
 from .fracops import assemble_coupling, source_moments
 from .mesh import SpatialGrid, TemporalGrid
 from .problem import ProblemSpec, validate
-from .solver import SpaceTimeField, march, march_plan, sine_transform, state_source
+from .solver import SpaceTimeField, march, march_plan, state_source
 
 __all__ = [
     "ControlField",
@@ -200,13 +201,14 @@ def control_loads(U: ControlField) -> np.ndarray:
     Simpson's rule integrates it against a hat exactly.
     """
     xg, w, lo, hi = U.xgrid, U.w, U.u_lo, U.u_hi
+    mass = assemble_mass(xg)
     # the mass stencil on c, whose ends are nonzero when the box excludes 0;
     # each neighbour is clamped into one temporary, so no copy of c is made
     out = np.clip(w[:, 1:-1], lo, hi)
-    out *= 2.0 * xg.h / 3.0
+    out *= mass.diag
     t = np.clip(w[:, 2:], lo, hi)
-    out += np.multiply(t, xg.h / 6.0, out=t)
-    out += np.multiply(np.clip(w[:, :-2], lo, hi, out=t), xg.h / 6.0, out=t)
+    out += np.multiply(t, mass.off, out=t)
+    out += np.multiply(np.clip(w[:, :-2], lo, hi, out=t), mass.off, out=t)
     k, e, s, u, iu = _kinked_elements(U)
     # (slab, element) pairs are unique; the end nodes carry no hat
     for node, weight in ((e, 1.0 - s), (e + 1, s)):
@@ -283,6 +285,9 @@ def fixed_point_solve(spec: ProblemSpec, tgrid: TemporalGrid, xgrid: SpatialGrid
     bad = validate(spec)
     if bad:
         raise ValueError(f"invalid problem spec, offending fields: {', '.join(bad)}")
+    if tgrid.nodes[0] != 0.0 or tgrid.nodes[-1] != spec.T:
+        raise ValueError(f"the temporal grid spans ({tgrid.nodes[0]}, {tgrid.nodes[-1]}), "
+                         f"not (0, T = {spec.T})")
     mass = assemble_mass(xgrid)
     stiffness = assemble_stiffness(xgrid)
     B = assemble_coupling(tgrid, spec.alpha)

@@ -1,10 +1,11 @@
-"""Linear finite elements on the uniform Dirichlet grid.
+"""Linear finite elements on the uniform Dirichlet grid of (0, 1).
 
 Operators act on interior nodal coefficients only (boundary values are
-eliminated), so mass and stiffness are symmetric tridiagonal.  Loads for the
-power-law family c x^a (1-x) are assembled from closed-form monomial moments
-because fixed-order Gauss rules lose accuracy at the x^a singularity; smooth
-sine data uses per-element Gauss quadrature.
+eliminated): mass and stiffness are symmetric Toeplitz stencils, diagonal
+in the DST-I basis of `sine_transform`, where a solve is one division.
+Loads for the power-law family c x^a (1-x) are assembled from closed-form
+monomial moments because fixed-order Gauss rules lose accuracy at the x^a
+singularity; smooth sine data uses per-element Gauss quadrature.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import dst
 
 from .mesh import SpatialGrid
 from .problem import FunctionDescriptor, PowerLaw, SineCombo, TimeConstant, Zero
@@ -25,6 +27,7 @@ __all__ = [
     "load_powerlaw",
     "load_descriptor",
     "l2_project",
+    "sine_transform",
     "solve_tridiagonal",
 ]
 
@@ -43,20 +46,30 @@ _G8_W = np.array([
 
 @dataclass(frozen=True)
 class TriDiagonalOperator:
-    """Symmetric tridiagonal operator over interior dofs."""
+    """The symmetric Toeplitz stencil [off, diag, off] on `size` interior
+    dofs."""
 
-    sub: np.ndarray = field(repr=False)
-    diag: np.ndarray = field(repr=False)
-    sup: np.ndarray = field(repr=False)
+    size: int
+    diag: float
+    off: float
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """The operator on v, or on each row of v: one product and one
         temporary beside the result."""
+        if np.shape(v)[-1] != self.size:
+            raise ValueError(f"operator of size {self.size} applied to shape {np.shape(v)}")
         out = self.diag * v
-        t = self.sup * v[..., 1:]
+        t = self.off * v[..., 1:]
         out[..., :-1] += t
-        out[..., 1:] += np.multiply(self.sub, v[..., :-1], out=t)
+        out[..., 1:] += np.multiply(self.off, v[..., :-1], out=t)
         return out
+
+    def eigenvalues(self) -> np.ndarray:
+        """Its eigenvalues on the DST-I modes sin(i pi x), i = 1..size; diag
+        exactly for a single dof, which has no neighbour."""
+        m = self.size
+        off = self.off if m > 1 else 0.0
+        return self.diag + 2.0 * off * np.cos(np.arange(1, m + 1) * np.pi / (m + 1))
 
 
 @dataclass(frozen=True)
@@ -68,23 +81,11 @@ class NodalFunction:
 
 
 def assemble_mass(grid: SpatialGrid) -> TriDiagonalOperator:
-    h = grid.h
-    m = grid.num_interior
-    return TriDiagonalOperator(
-        sub=np.full(m - 1, h / 6.0),
-        diag=np.full(m, 2.0 * h / 3.0),
-        sup=np.full(m - 1, h / 6.0),
-    )
+    return TriDiagonalOperator(grid.num_interior, 2.0 * grid.h / 3.0, grid.h / 6.0)
 
 
 def assemble_stiffness(grid: SpatialGrid) -> TriDiagonalOperator:
-    h = grid.h
-    m = grid.num_interior
-    return TriDiagonalOperator(
-        sub=np.full(m - 1, -1.0 / h),
-        diag=np.full(m, 2.0 / h),
-        sup=np.full(m - 1, -1.0 / h),
-    )
+    return TriDiagonalOperator(grid.num_interior, 2.0 / grid.h, -1.0 / grid.h)
 
 
 def _moments(s: float, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -144,16 +145,16 @@ def load_descriptor(grid: SpatialGrid, f: FunctionDescriptor) -> np.ndarray:
     raise ValueError(f"cannot assemble loads for descriptor {f!r}")
 
 
-def solve_tridiagonal(op: TriDiagonalOperator, rhs: np.ndarray) -> np.ndarray:
-    """Solve op x = rhs for a symmetric positive definite operator."""
-    # imported here so that `import fracctrl` does not load scipy.linalg; no solve calls this
-    from scipy.linalg import solveh_banded
+def sine_transform(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """The orthonormal DST-I along the last axis: nodal values to sine
+    coefficients and back (it is its own inverse)."""
+    return dst(a, type=1, norm="ortho", axis=-1, overwrite_x=overwrite)
 
-    m = op.diag.size
-    ab = np.zeros((2, m))
-    ab[0, 1:] = op.sup
-    ab[1, :] = op.diag
-    return solveh_banded(ab, rhs, lower=False)
+
+def solve_tridiagonal(op: TriDiagonalOperator, rhs: np.ndarray) -> np.ndarray:
+    """Solve op x = rhs, along the last axis, in the sine basis, where op is
+    the diagonal of its eigenvalues."""
+    return sine_transform(sine_transform(rhs) / op.eigenvalues(), overwrite=True)
 
 
 def l2_project(grid: SpatialGrid, f: FunctionDescriptor) -> NodalFunction:

@@ -356,14 +356,14 @@ def forward_single_mode_error(alpha: float, m: int, n: int, r: float = 0.0,
     a_, b_ = tgrid.nodes[:-1, None], tgrid.nodes[1:, None]
     pts = 0.5 * (a_ + b_) + 0.5 * (b_ - a_) * _GAUSS4_X
     wts = 0.5 * (b_ - a_) * _GAUSS4_W
-    # all Gauss times of a panel of slabs at once; d M d for the tridiagonal
-    # mass matrix without forming M d, so the temporaries stay at 4 PANEL n
+    # all Gauss times of a panel of slabs at once; d M d from the mass
+    # stencil without forming M d, so the temporaries stay at 4 PANEL n
     total = 0.0
     for k0 in range(0, tgrid.num_slabs, PANEL):
         ks = slice(k0, k0 + PANEL)
         d = spectral_state(sol, pts[ks], xgrid.interior)
         d = np.subtract(Y.values[ks, None, :], d, out=d).reshape(-1, n - 1)
         w = wts[ks].ravel()
-        total += float(np.einsum("k,ki,ki,i->", w, d, d, mass.diag)
-                       + np.einsum("k,ki,ki,i->", w, d[:, 1:], d[:, :-1], mass.sup + mass.sub))
+        total += float(mass.diag * np.einsum("k,ki,ki->", w, d, d)
+                       + 2.0 * mass.off * np.einsum("k,ki,ki->", w, d[:, 1:], d[:, :-1]))
     return math.sqrt(max(0.0, total))

@@ -10,6 +10,7 @@ Dirichlet conditions, so only interior nodes carry degrees of freedom.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,11 +46,17 @@ class TemporalGrid:
 
 @dataclass(frozen=True)
 class SpatialGrid:
-    """Uniform partition of (0, 1); dofs are the n-1 interior nodes."""
+    """Uniform partition of (0, 1) into n cells; dofs are the n-1 interior nodes."""
 
     n: int
-    h: float
-    nodes: np.ndarray = field(repr=False)
+
+    @property
+    def h(self) -> float:
+        return 1.0 / self.n
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        return np.linspace(0.0, 1.0, self.n + 1)
 
     @property
     def num_interior(self) -> int:
@@ -110,8 +117,7 @@ def grading_exponents(alpha: float, r: float, sigma1: float | None = None,
 def build_uniform_spatial(n: int) -> SpatialGrid:
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError(f"spatial cell count must be an integer >= 2, got {n!r}")
-    nodes = np.linspace(0.0, 1.0, n + 1)
-    return SpatialGrid(n=int(n), h=1.0 / n, nodes=nodes)
+    return SpatialGrid(int(n))
 
 
 def merge_breakpoints(a: np.ndarray, b: np.ndarray) -> np.ndarray:

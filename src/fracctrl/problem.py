@@ -169,18 +169,29 @@ def to_config_text(spec: ProblemSpec) -> str:
     return "".join(f"{k} = {v}\n" for k, v in items)
 
 
+def _pop_number(kv: dict, key: str) -> float:
+    if key not in kv:
+        raise ValueError(f"missing config key {key!r}")
+    value = kv.pop(key)
+    try:
+        return float(value)
+    except ValueError:
+        raise ValueError(f"config key {key!r}: {value!r} is not a number") from None
+
+
 def _parse_descriptor(kv: dict, prefix: str, time_constant: bool) -> FunctionDescriptor:
-    kind = kv.get(f"{prefix}.kind", "zero")
+    kind = kv.pop(f"{prefix}.kind", "zero")
     if kind == "zero":
         return Zero()
     if kind == "powerlaw":
-        prof = PowerLaw(c=float(kv[f"{prefix}.c"]), a=float(kv[f"{prefix}.a"]))
+        prof = PowerLaw(c=_pop_number(kv, f"{prefix}.c"), a=_pop_number(kv, f"{prefix}.a"))
         return TimeConstant(prof) if time_constant else prof
     raise ValueError(f"unknown descriptor kind {kind!r} for {prefix}")
 
 
 def from_config_text(text: str) -> ProblemSpec:
-    """Parse the `key = value` format written by to_config_text."""
+    """Parse the `key = value` format written by to_config_text.  A key
+    that is missing, unknown or not a number is named in the error."""
     kv: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -190,19 +201,11 @@ def from_config_text(text: str) -> ProblemSpec:
             raise ValueError(f"line {lineno}: expected `key = value`, got {raw!r}")
         key, _, value = line.partition("=")
         kv[key.strip()] = value.strip()
-    try:
-        spec = ProblemSpec(
-            alpha=float(kv["alpha"]),
-            nu=float(kv["nu"]),
-            T=float(kv["T"]),
-            u_lo=float(kv["u_lo"]),
-            u_hi=float(kv["u_hi"]),
-            r=float(kv["r"]),
-            y0=_parse_descriptor(kv, "y0", time_constant=False),
-            yd=_parse_descriptor(kv, "yd", time_constant=True),
-        )
-    except KeyError as exc:
-        raise ValueError(f"missing config key {exc}") from None
+    scalars = [_pop_number(kv, key) for key in ("alpha", "nu", "T", "u_lo", "u_hi", "r")]
+    spec = ProblemSpec(*scalars, y0=_parse_descriptor(kv, "y0", time_constant=False),
+                       yd=_parse_descriptor(kv, "yd", time_constant=True))
+    if kv:
+        raise ValueError(f"unknown config key {', '.join(map(repr, kv))}")
     if not math.isfinite(spec.alpha):
         raise ValueError("alpha must be finite")
     return spec

@@ -10,10 +10,10 @@ marched for k = 1..2M.  The adjoint operator transposes the temporal
 coupling; reversing time makes it lower triangular again, so both solves
 run through the same march.
 
-The spatial grid is uniform with Dirichlet conditions, so M and K are
-tridiagonal Toeplitz and share the DST-I eigenvectors sin(i pi x): in that
-basis every slab solve is one elementwise division.  The march goes in
-panels of PANEL rows and splits each panel's history in two:
+M and K are the Toeplitz stencils of `fem` and share the DST-I
+eigenvectors sin(i pi x): in that basis (`fem.sine_transform`) every slab
+solve is one elementwise division.  The march goes in panels of PANEL rows
+and splits each panel's history in two:
 
 * near field: the columns of the panel and the one before it, exact from
   the closed form (`TemporalCouplingMatrix.block`), solved row by row;
@@ -39,11 +39,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fem import TriDiagonalOperator, NodalFunction, assemble_mass, load_descriptor
+from .fem import (TriDiagonalOperator, NodalFunction, assemble_mass, load_descriptor,
+                  sine_transform)
 from .fracops import KernelMoments, TemporalCouplingMatrix, exp_sum
 from .mesh import SpatialGrid, TemporalGrid
 from .problem import FunctionDescriptor
-from scipy.fft import dst
 
 __all__ = [
     "SpaceTimeField",
@@ -95,7 +95,7 @@ def _check_grids(*objs) -> tuple[TemporalGrid, SpatialGrid]:
     for o in objs[1:]:
         if o.tgrid is not tg and not np.array_equal(o.tgrid.nodes, tg.nodes):
             raise ValueError("temporal grids do not match")
-        if o.xgrid is not xg and o.xgrid.n != xg.n:
+        if o.xgrid != xg:
             raise ValueError("spatial grids do not match")
     return tg, xg
 
@@ -103,17 +103,6 @@ def _check_grids(*objs) -> tuple[TemporalGrid, SpatialGrid]:
 def _check_coupling(B: TemporalCouplingMatrix, src: SourceTerm) -> None:
     if B.grid is not src.tgrid and not np.array_equal(B.grid.nodes, src.tgrid.nodes):
         raise ValueError("coupling matrix and source live on different grids")
-
-
-def _sine_eigenvalues(op: TriDiagonalOperator) -> np.ndarray:
-    """Eigenvalues of a constant-diagonal tridiagonal operator on the DST-I
-    modes i = 1..m."""
-    d, s = op.diag, op.sup
-    if np.any(d != d[0]) or np.any(s != s[:1]):
-        raise ValueError("the sine-basis march needs operators with constant diagonals")
-    m = d.size
-    off = s[0] if m > 1 else 0.0
-    return d[0] + 2.0 * off * np.cos(np.arange(1, m + 1) * np.pi / (m + 1))
 
 
 def _decay(lam: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -210,7 +199,7 @@ def march_plan(B: TemporalCouplingMatrix, mass: TriDiagonalOperator,
     """The plan of both marches for the coupling B and the spatial operators."""
     tau = B.grid.widths
     lam, omega = exp_sum(B.alpha, float(tau.min()), float(B.grid.nodes[-1] - B.grid.nodes[0]))
-    return MarchPlan(B=B, mu=_sine_eigenvalues(mass), kappa=_sine_eigenvalues(stiffness),
+    return MarchPlan(B=B, mu=mass.eigenvalues(), kappa=stiffness.eigenvalues(),
                      lam=lam, comega=-B.alpha / math.gamma(1.0 - B.alpha) * omega)
 
 
@@ -250,12 +239,6 @@ def march(plan: MarchPlan, Z: np.ndarray, adjoint: bool = False) -> np.ndarray:
             S[:q_next] = decay * S[:q_next] + fold.T @ Z[max(k0 - 1, 0):k1 - 1]
             S[q_next:q] = 0.0
     return Z
-
-
-def sine_transform(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """The orthonormal DST-I along the last axis: nodal values to sine
-    coefficients and back (it is its own inverse)."""
-    return dst(a, type=1, norm="ortho", axis=-1, overwrite_x=overwrite)
 
 
 def _solve(B: TemporalCouplingMatrix, mass: TriDiagonalOperator,

@@ -11,7 +11,7 @@ from fracctrl.control import (MAX_ITER, TOL, ControlField, FixedPointDiverged, c
                               project_admissible)
 from fracctrl.fem import assemble_mass, assemble_stiffness, l2_project
 from fracctrl.fracops import assemble_coupling, source_moments
-from fracctrl.mesh import SpatialGrid, build_graded, build_uniform_spatial, default_sigmas
+from fracctrl.mesh import build_graded, build_uniform_spatial, default_sigmas
 from fracctrl.problem import (ProblemSpec, SineCombo, TimeConstant, Zero,
                               default_experiment_spec)
 from fracctrl.solver import (SpaceTimeField, adjoint_source, apply_adjoint,
@@ -75,26 +75,6 @@ def test_projection_crossings_single_element():
     # saturated plateau between the crossings on each side of the midpoint
     mid_vals = U.evaluate(1, np.array([0.05, 0.2]))
     assert np.allclose(mid_vals, 0.1, atol=1e-14)
-
-
-def test_cuts_on_nonuniform_nodes_use_the_element_width():
-    # w rises 0 -> 0.4 on [0.2, 0.6] and falls back on [0.6, 1]: it crosses
-    # u_hi = 0.1 at x = 0.3 and x = 0.9, at s = 1/4 and 3/4 of their
-    # elements, not at 0.2625 and 0.7875 as a uniform width h = 0.25 would
-    tg = build_graded(2, 1.0, 1.0, 1.0)
-    xg = SpatialGrid(4, 0.25, np.array([0.0, 0.1, 0.2, 0.6, 1.0]))
-    w = np.zeros((tg.num_slabs, 5))
-    w[:, 3] = 0.4
-    U = ControlField(tg, xg, -0.1, 0.1, w)
-    for xs, vs in U.pieces:
-        assert np.allclose(xs, [0.0, 0.1, 0.2, 0.3, 0.6, 0.9, 1.0], rtol=0.0, atol=1e-15)
-        assert np.array_equal(vs, [0.0, 0.0, 0.0, 0.1, 0.1, 0.1, 0.0])
-    assert np.allclose(U.evaluate(1, [0.3, 0.9]), 0.1, rtol=0.0, atol=1e-15)
-    # against half of w, which cuts at 0.4 and 0.8, the clamps differ most
-    # at U's cuts, by 0.1 - 0.05; every node gives 0
-    spec = dataclasses.replace(default_experiment_spec(0.5, 0.0), nu=1.0, u_lo=-0.1, u_hi=0.1)
-    P = SpaceTimeField(tg, xg, -0.5 * w[:, 1:-1])
-    assert optimality_residual(U, P, spec) == pytest.approx(0.05, rel=1e-14, abs=0.0)
 
 
 def test_control_norm_against_composite_quadrature(rng):
@@ -448,6 +428,15 @@ def test_fixed_point_rejects_a_nonpositive_cost_weight(nu):
     spec, tg, xg = small_instance(m=3, n=8)
     with pytest.raises(ValueError, match="nu"):
         fixed_point_solve(dataclasses.replace(spec, nu=nu), tg, xg)
+
+
+@pytest.mark.parametrize("T", [2.0, 0.5])
+def test_fixed_point_rejects_a_grid_that_does_not_span_T(T):
+    # the grid spans (0, 1); a problem on (0, T) must not solve on it
+    spec = dataclasses.replace(default_experiment_spec(0.8, 0.0), T=T)
+    tg, xg = build_graded(8, 1.0, 1.0, 1.0), build_uniform_spatial(8)
+    with pytest.raises(ValueError, match=f"T = {T}"):
+        fixed_point_solve(spec, tg, xg)
 
 
 def test_cost_closed_form_target_only():

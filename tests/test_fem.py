@@ -5,20 +5,23 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import eigh
 
-from fracctrl.fem import (assemble_mass, assemble_stiffness, l2_project,
-                          load_descriptor, load_powerlaw, solve_tridiagonal)
+from fracctrl.fem import (TriDiagonalOperator, assemble_mass, assemble_stiffness,
+                          l2_project, load_descriptor, load_powerlaw, sine_transform,
+                          solve_tridiagonal)
 from fracctrl.mesh import build_uniform_spatial
 from fracctrl.problem import PowerLaw, SineCombo, Zero
 
 
 def dense(op):
-    return np.diag(op.diag) + np.diag(op.sub, -1) + np.diag(op.sup, 1)
+    off = np.full(op.size - 1, op.off)
+    return np.diag(np.full(op.size, op.diag)) + np.diag(off, -1) + np.diag(off, 1)
 
 
 def test_mass_entries_n4():
     M = assemble_mass(build_uniform_spatial(4))
-    assert np.allclose(M.diag, 1.0 / 6.0, rtol=1e-15)
-    assert np.allclose(M.sub, 1.0 / 24.0, rtol=1e-15)
+    assert M.size == 3
+    assert M.diag == pytest.approx(1.0 / 6.0, rel=1e-15)
+    assert M.off == pytest.approx(1.0 / 24.0, rel=1e-15)
 
 
 def test_mass_total_against_hand_count():
@@ -38,7 +41,9 @@ def test_mass_quadratic_form_approximates_sine_norm():
 
 def test_stiffness_single_dof():
     K = assemble_stiffness(build_uniform_spatial(2))
-    assert K.diag[0] == pytest.approx(4.0)
+    assert K.size == 1 and K.diag == pytest.approx(4.0)
+    assert np.array_equal(K.apply(np.array([0.5])), [2.0])
+    assert np.array_equal(K.eigenvalues(), [4.0])
 
 
 def test_generalized_eigenvalues_near_squares():
@@ -147,11 +152,9 @@ def test_projection_self_convergence_order_two():
 
 
 def test_solve_identity_scaled():
-    g = build_uniform_spatial(8)
-    from fracctrl.fem import TriDiagonalOperator
-    op = TriDiagonalOperator(sub=np.zeros(6), diag=np.full(7, 3.0), sup=np.zeros(6))
+    op = TriDiagonalOperator(7, 3.0, 0.0)
     rhs = np.arange(7.0)
-    assert np.allclose(solve_tridiagonal(op, rhs), rhs / 3.0, rtol=1e-15)
+    assert np.allclose(solve_tridiagonal(op, rhs), rhs / 3.0, rtol=0.0, atol=1e-14)
 
 
 def test_solve_recovers_known():
@@ -163,22 +166,40 @@ def test_solve_recovers_known():
 
 
 def test_solve_against_dense_oracle(rng):
-    for n in (4, 9, 32):
-        sub = rng.uniform(-0.2, 0.2, n - 1)
-        diag = 1.0 + rng.uniform(0.0, 1.0, n)
-        from fracctrl.fem import TriDiagonalOperator
-        op = TriDiagonalOperator(sub=sub, diag=diag, sup=sub)
-        rhs = rng.standard_normal(n)
+    # random stencils, the stiffness of a fine grid among them, and several
+    # right sides at once along the last axis
+    ops = [TriDiagonalOperator(m, 1.0 + rng.uniform(0.0, 1.0), rng.uniform(-0.5, 0.5))
+           for m in (1, 4, 9, 32)]
+    ops.append(assemble_stiffness(build_uniform_spatial(256)))
+    for op in ops:
+        rhs = rng.standard_normal((3, op.size))
         got = solve_tridiagonal(op, rhs)
-        want = np.linalg.solve(dense(op), rhs)
-        assert np.allclose(got, want, atol=1e-12)
-        assert np.linalg.norm(dense(op) @ got - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        want = np.linalg.solve(dense(op), rhs.T).T
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.linalg.norm(op.apply(got) - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_eigenvalues_diagonalise_the_stencil():
+    # the DST-I takes each stencil to the diagonal of its eigenvalues
+    for n in (2, 3, 17):
+        g = build_uniform_spatial(n)
+        for op in (assemble_mass(g), assemble_stiffness(g)):
+            eye = np.eye(op.size)
+            got = sine_transform(op.apply(sine_transform(eye)))
+            scale = np.max(np.abs(op.eigenvalues()))
+            assert np.allclose(got, np.diag(op.eigenvalues()), rtol=0.0, atol=1e-14 * scale)
+            assert np.allclose(np.sort(op.eigenvalues()), np.linalg.eigvalsh(dense(op)),
+                               rtol=0.0, atol=1e-14 * scale)
+
+
+def test_apply_rejects_the_wrong_size():
+    with pytest.raises(ValueError, match="size 7"):
+        assemble_mass(build_uniform_spatial(8)).apply(np.ones((2, 6)))
 
 
 def test_operators_symmetric_positive(rng):
     g = build_uniform_spatial(24)
     M, K = assemble_mass(g), assemble_stiffness(g)
-    assert np.array_equal(M.sub, M.sup) and np.array_equal(K.sub, K.sup)
     for _ in range(5):
         v = rng.standard_normal(g.num_interior)
         assert v @ M.apply(v) > 0.0

@@ -102,10 +102,20 @@ def test_config_parses_comments_and_blank_lines():
 
 
 def test_config_missing_key():
-    with pytest.raises(ValueError, match="missing config key"):
+    with pytest.raises(ValueError, match="missing config key 'nu'"):
         from_config_text("alpha = 0.5\n")
+    text = to_config_text(default_experiment_spec(0.5, 0.0))
+    with pytest.raises(ValueError, match="missing config key 'y0.c'"):
+        from_config_text(text.replace("y0.c = 1.0\n", ""))
 
 
 def test_config_malformed_line():
     with pytest.raises(ValueError, match="key = value"):
         from_config_text("alpha 0.5\n")
+    text = to_config_text(default_experiment_spec(0.5, 0.0))
+    # a value that is not a number, and a key the format does not have,
+    # are named
+    with pytest.raises(ValueError, match="'nu'.*'one'"):
+        from_config_text(text.replace("nu = 1.0", "nu = one"))
+    with pytest.raises(ValueError, match="unknown config key 'sigma1'"):
+        from_config_text(text + "sigma1 = 2\n")
