@@ -6,7 +6,7 @@ convergence-study harness."""
 
 from .control import (ControlField, CostReport, FixedPointDiverged,
                       control_loads, evaluate_cost, fixed_point_solve,
-                      optimality_residual, project_admissible)
+                      fixed_point_solves, optimality_residual, project_admissible)
 from .fem import (NodalFunction, TriDiagonalOperator, assemble_mass,
                   assemble_stiffness, l2_project, load_descriptor,
                   load_powerlaw, sine_transform, solve_tridiagonal)

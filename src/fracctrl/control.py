@@ -12,6 +12,7 @@ scheme has no consistency error beyond the discretization itself.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -31,6 +32,7 @@ __all__ = [
     "project_admissible",
     "control_loads",
     "fixed_point_solve",
+    "fixed_point_solves",
     "optimality_residual",
     "evaluate_cost",
 ]
@@ -43,16 +45,18 @@ STALL = 10
 
 
 class FixedPointDiverged(RuntimeError):
-    """The fixed point stopped short of r < TOL: it ran into MAX_ITER, or r
-    set no new minimum in STALL iterations in a row (``stalled``).
+    """The fixed point on the spatial grid of n cells stopped short of
+    r < TOL: it ran into MAX_ITER, or r set no new minimum in STALL
+    iterations in a row (``stalled``).
 
     Reports the last and the smallest increment r, the last secant
     Lipschitz ratio L (NaN before the second iteration) and the damping
     2/(2+L) it set.
     """
 
-    def __init__(self, iterations: int, last_increment: float, best_increment: float,
+    def __init__(self, n: int, iterations: int, last_increment: float, best_increment: float,
                  lipschitz: float, theta: float, stalled: bool):
+        self.n = n
         self.iterations = iterations
         self.last_increment = last_increment
         self.best_increment = best_increment
@@ -61,7 +65,7 @@ class FixedPointDiverged(RuntimeError):
         why = (f"stalled after {iterations} iterations, the last {STALL} without a new minimum"
                if stalled else f"no convergence after {iterations} iterations")
         super().__init__(
-            f"{why} (best increment {best_increment:.3e}, last {last_increment:.3e}, "
+            f"n={n}: {why} (best increment {best_increment:.3e}, last {last_increment:.3e}, "
             f"Lipschitz ratio {lipschitz:.3g}, damping {theta:.3g})")
 
 
@@ -253,17 +257,81 @@ def evaluate_cost(U, Y: SpaceTimeField, spec: ProblemSpec) -> CostReport:
     return CostReport(tracking=tracking, penalty=penalty, total=tracking + penalty)
 
 
-def fixed_point_solve(spec: ProblemSpec, tgrid: TemporalGrid, xgrid: SpatialGrid):
-    """Solve the discrete optimality system by projected fixed-point
-    iteration on the nodal co-state Q, which starts at -nu u_init.
+@dataclass(eq=False)
+class _GridSolve:
+    """The fixed point's state on one spatial grid of a group: its columns
+    of the group's sine coefficients, its iterate Q with the damping it
+    measures, and its result once it stops."""
+
+    spec: ProblemSpec
+    tgrid: TemporalGrid
+    xgrid: SpatialGrid
+    cols: slice
+    mass: TriDiagonalOperator
+    y0_hat: np.ndarray
+    yd_hat: np.ndarray
+    Q: np.ndarray
+    U: ControlField | None = None
+    P_prev: np.ndarray | None = None
+    moved: float = math.nan     # ||Q_k - Q_{k-1}||
+    increment: float = math.nan
+    best: float = math.inf
+    since_best: int = 0
+    lipschitz: float = math.nan
+    theta: float = 1.0
+    result: tuple | None = None
+
+    def take(self, P: np.ndarray, step: np.ndarray, Z: np.ndarray, mu: np.ndarray,
+             iterations: int) -> None:
+        """Take the co-state P of iteration `iterations`.  `step`, a spent
+        block of the group's work, holds P - Q; Z and mu are the grid's
+        columns of the state march (mu Y^) and of the mass eigenvalues.  Once
+        r < TOL keep (U, Y, P, CostReport) and zero Z, which the marches then
+        keep; otherwise raise on a stall, or move Q."""
+        spec, tgrid, xgrid = self.spec, self.tgrid, self.xgrid
+        np.subtract(P, self.Q, out=step)
+        self.increment = increment = float(np.linalg.norm(step)) / spec.nu
+        if increment < TOL:
+            self.Q = self.P_prev = None  # spent: the cost's temporaries take their memory
+            Yhat = np.divide(Z, mu, out=step)
+            tracking = _tracking(tgrid.widths, np.einsum("ki,ki->k", Yhat, Z),
+                                 Yhat @ self.yd_hat, spec.yd.l2_norm_sq())
+            penalty = 0.5 * spec.nu * self.U.norm_l2l2_sq()
+            Y = SpaceTimeField(tgrid, xgrid, sine_transform(Yhat))
+            self.result = (self.U, Y, SpaceTimeField(tgrid, xgrid, P), CostReport(
+                tracking, penalty, tracking + penalty, iterations, increment))
+            Z[...] = 0.0
+            return
+        self.best, self.since_best = ((increment, 0) if increment < self.best
+                                      else (self.best, self.since_best + 1))
+        if self.since_best == STALL:
+            raise self.diverged(iterations, stalled=True)
+        if self.P_prev is not None:  # P_prev is spent: it becomes P below
+            self.lipschitz = (float(np.linalg.norm(np.subtract(P, self.P_prev, out=self.P_prev)))
+                              / self.moved)
+            self.theta = 2.0 / (2.0 + self.lipschitz)
+        self.Q += np.multiply(step, self.theta, out=step)
+        self.moved = self.theta * spec.nu * increment
+        self.P_prev = P
+
+    def diverged(self, iterations: int, stalled: bool) -> FixedPointDiverged:
+        return FixedPointDiverged(self.xgrid.n, iterations, self.increment, self.best,
+                                  self.lipschitz, self.theta, stalled)
+
+
+def fixed_point_solves(spec: ProblemSpec, tgrid: TemporalGrid,
+                       xgrids: Sequence[SpatialGrid]) -> list:
+    """Solve the discrete optimality system on the temporal grid tgrid and
+    each spatial grid of xgrids by projected fixed-point iteration on the
+    nodal co-state Q, which starts at -nu u_init.
 
     Each iteration projects U = clamp(-Q/nu), solves for the state Y and
     the co-state P, and stops once r = ||P - Q||_2 / nu over the interior
     nodes is below TOL; otherwise Q moves to Q + theta (P - Q).  The clamp
     is 1-Lipschitz and -Q/nu is piecewise linear in x, so r bounds
-    |U - clamp(-P/nu)| at every point, kinks included.  A solve that
+    |U - clamp(-P/nu)| at every point, kinks included.  A grid that
     reaches neither TOL within MAX_ITER iterations nor a new minimum of r
-    within STALL raises FixedPointDiverged.
+    within STALL raises FixedPointDiverged, which names its n.
 
     The damping picks itself.  P is affine in U with the self-adjoint
     positive semidefinite linear part S*S, and U = clamp(-Q/nu) is monotone
@@ -276,11 +344,18 @@ def fixed_point_solve(spec: ProblemSpec, tgrid: TemporalGrid, xgrid: SpatialGrid
 
     Both marches stay in the sine basis, where the mass matrix is the
     diagonal mu: the state march returns Z = mu Y^, so the co-state's
-    source is tau (Z - yd^).  An iteration takes two transforms, of the
-    control loads and of P.  The accepted one alone takes the cost, tracking
-    as sum_k tau_k (Y^_k.Z_k - 2 Y^_k.yd^ + ||yd||^2), and returns Y to nodes.
+    source is tau (Z - yd^).  Each sine mode marches on its own, so the
+    grids iterate in lockstep with their own Q, damping and stop test, and
+    their coefficients sit side by side in one array: an iteration takes
+    one forward and one adjoint march for all of them, and per grid two
+    transforms, of the control loads and of P.  A grid's accepted iteration
+    alone takes the cost, tracking as
+    sum_k tau_k (Y^_k.Z_k - 2 Y^_k.yd^ + ||yd||^2), and returns Y to nodes;
+    its columns then hold zeros, which the marches keep, until the last
+    grid stops.
 
-    Returns (U, Y, P, CostReport) of the accepted iteration.
+    Returns the (U, Y, P, CostReport) of each grid's accepted iteration, in
+    the order of xgrids.
     """
     bad = validate(spec)
     if bad:
@@ -288,50 +363,51 @@ def fixed_point_solve(spec: ProblemSpec, tgrid: TemporalGrid, xgrid: SpatialGrid
     if tgrid.nodes[0] != 0.0 or tgrid.nodes[-1] != spec.T:
         raise ValueError(f"the temporal grid spans ({tgrid.nodes[0]}, {tgrid.nodes[-1]}), "
                          f"not (0, T = {spec.T})")
-    mass = assemble_mass(xgrid)
-    stiffness = assemble_stiffness(xgrid)
     B = assemble_coupling(tgrid, spec.alpha)
-    plan = march_plan(B, mass, stiffness)
     moments = source_moments(tgrid, spec.alpha)
-    y0_hat = sine_transform(load_descriptor(xgrid, spec.y0))
-    yd_hat = sine_transform(load_descriptor(xgrid, spec.yd))
+    masses = [assemble_mass(xg) for xg in xgrids]
+    plan = march_plan(B, np.concatenate([mass.eigenvalues() for mass in masses]),
+                      np.concatenate([assemble_stiffness(xg).eigenvalues() for xg in xgrids]))
+    yd_hat = np.concatenate([sine_transform(load_descriptor(xg, spec.yd)) for xg in xgrids])
     mu, widths = plan.mu, tgrid.widths
-    shape = (tgrid.num_slabs, xgrid.num_interior)
-    work = np.empty(shape)  # the y0 forcing, the co-state march, P - Q, then Y^
-
     u_init = min(max(0.0, spec.u_lo), spec.u_hi)  # finite for a one-sided box
-    Q = np.full(shape, -spec.nu * u_init)
-    P_prev, best, since_best, lipschitz, theta = None, math.inf, 0, math.nan, 1.0
+    grids, start = [], 0
+    for xg, mass in zip(xgrids, masses):
+        cols = slice(start, start + xg.num_interior)
+        start = cols.stop
+        grids.append(_GridSolve(spec, tgrid, xg, cols, mass,
+                                sine_transform(load_descriptor(xg, spec.y0)), yd_hat[cols],
+                                np.full((tgrid.num_slabs, xg.num_interior), -spec.nu * u_init)))
+
+    Z = np.empty((tgrid.num_slabs, mu.size))  # the sources, then mu Y^
     for iterations in range(1, MAX_ITER + 1):
-        U = project_admissible(SpaceTimeField(tgrid, xgrid, Q), spec.nu, spec.u_lo, spec.u_hi)
-        Z = sine_transform(state_source(U, None, moments, mass).values, overwrite=True)
-        Z += np.multiply.outer(moments.values, y0_hat, out=work)
+        live = [g for g in grids if g.result is None]
+        for g in live:
+            g.U = project_admissible(SpaceTimeField(tgrid, g.xgrid, g.Q),
+                                     spec.nu, spec.u_lo, spec.u_hi)
+            Z[:, g.cols] = sine_transform(state_source(g.U, None, moments, g.mass).values,
+                                          overwrite=True)
+        # made after the loads, so that it never sits beside their temporaries
+        work = np.empty_like(Z)  # the y0 forcing, the co-state march, then P - Q
+        for g in live:
+            Z[:, g.cols] += np.multiply.outer(moments.values, g.y0_hat, out=work[:, g.cols])
         march(plan, Z)
         np.subtract(Z[::-1], yd_hat, out=work)  # the co-state marches on reversed time
         work *= widths[::-1, None]
-        P = sine_transform(np.divide(march(plan, work, adjoint=True)[::-1], mu), overwrite=True)
-        step = np.subtract(P, Q, out=work)  # the march's work is spent
-        increment = float(np.linalg.norm(step)) / spec.nu
-        if increment < TOL:
-            del Q, P_prev  # spent: the cost's temporaries take their memory
-            Yhat = np.divide(Z, mu, out=work)
-            tracking = _tracking(widths, np.einsum("ki,ki->k", Yhat, Z), Yhat @ yd_hat,
-                                 spec.yd.l2_norm_sq())
-            penalty = 0.5 * spec.nu * U.norm_l2l2_sq()
-            Y = SpaceTimeField(tgrid, xgrid, sine_transform(Yhat, overwrite=True))
-            return U, Y, SpaceTimeField(tgrid, xgrid, P), CostReport(
-                tracking, penalty, tracking + penalty, iterations, increment)
-        best, since_best = (increment, 0) if increment < best else (best, since_best + 1)
-        if since_best == STALL:
-            raise FixedPointDiverged(iterations, increment, best, lipschitz, theta, stalled=True)
-        if P_prev is not None:  # P_prev is spent: it becomes P below
-            lipschitz = float(np.linalg.norm(np.subtract(P, P_prev, out=P_prev))) / moved
-            theta = 2.0 / (2.0 + lipschitz)
-        Q += np.multiply(step, theta, out=step)
-        moved = theta * spec.nu * increment  # ||Q_k - Q_{k-1}||
-        P_prev = P
-        del Z  # freed before the next iteration builds its own
-    raise FixedPointDiverged(MAX_ITER, increment, best, lipschitz, theta, stalled=False)
+        march(plan, work, adjoint=True)
+        for g in live:
+            P = sine_transform(np.divide(work[::-1, g.cols], mu[g.cols]), overwrite=True)
+            g.take(P, work[:, g.cols], Z[:, g.cols], mu[g.cols], iterations)
+        del work  # freed before the next iteration's loads
+        if all(g.result is not None for g in grids):
+            return [g.result for g in grids]
+    raise next(g for g in grids if g.result is None).diverged(MAX_ITER, stalled=False)
+
+
+def fixed_point_solve(spec: ProblemSpec, tgrid: TemporalGrid, xgrid: SpatialGrid):
+    """`fixed_point_solves` on the one spatial grid xgrid: the (U, Y, P,
+    CostReport) of its accepted iteration."""
+    return fixed_point_solves(spec, tgrid, (xgrid,))[0]
 
 
 def optimality_residual(U: ControlField, P: SpaceTimeField, spec: ProblemSpec) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .control import ControlField, _cut_abscissae, _interp_clip, fixed_point_solve
+from .control import ControlField, _cut_abscissae, _interp_clip, fixed_point_solves
 from .fem import assemble_mass, assemble_stiffness, load_descriptor
 from .fracops import assemble_coupling, source_moments
 from .mesh import build_graded, build_uniform_spatial, grading_exponents, merge_breakpoints
@@ -200,42 +200,51 @@ def _sigmas(cfg: ExperimentConfig, reference: bool = False) -> tuple[float, floa
     return grading_exponents(cfg.alpha, cfg.r, cfg.sigma1, cfg.sigma2)
 
 
-def _solve_point(spec: ProblemSpec, cfg: ExperimentConfig, m: int, n: int,
-                 reference: bool = False):
-    """Solve on the grids that (m, n) and the grading of cfg build, through
-    a least-recently-used cache keyed on those grids and the problem's
-    parameters, so that a spatial and a temporal reference on the same grids
-    share one solve.  The cache holds at most _SOLVE_CACHE_BYTES of arrays;
-    a new triple evicts the least recently used ones until it fits, and is
-    kept even when it alone is larger."""
-    tgrid, xgrid = build_graded(2 ** m, *_sigmas(cfg, reference), 1.0), build_uniform_spatial(n)
-    key = (cfg.alpha, cfg.r, tgrid.M, tgrid.sigma1, tgrid.sigma2, xgrid.n)
-    if key in _solve_cache:
-        _solve_cache[key] = _solve_cache.pop(key)
-        return _solve_cache[key]
-    U, Y, P, _ = fixed_point_solve(spec, tgrid, xgrid)
-    held = sum(map(_triple_bytes, _solve_cache.values()))
-    while _solve_cache and held + _triple_bytes((U, Y, P)) > _SOLVE_CACHE_BYTES:
-        held -= _triple_bytes(_solve_cache.pop(next(iter(_solve_cache))))
-    _solve_cache[key] = (U, Y, P)
-    return U, Y, P
+def _solve_points(spec: ProblemSpec, cfg: ExperimentConfig, points) -> list:
+    """(U, Y, P) on the grids that each (m, n, reference) of points and the
+    grading of cfg build, through a least-recently-used cache keyed on
+    those grids and the problem's parameters, so that a spatial and a
+    temporal reference on the same grids share one solve.  The points the
+    cache misses that share a temporal grid solve together in one
+    `fixed_point_solves` call.  The cache holds at most _SOLVE_CACHE_BYTES
+    of arrays; each new triple evicts the least recently used ones until it
+    fits, and is kept even when it alone is larger."""
+    keys, found, groups = [], {}, {}  # groups: temporal grid -> (its grid, {key: xgrid})
+    for m, n, reference in points:
+        tgrid, xgrid = build_graded(2 ** m, *_sigmas(cfg, reference), 1.0), build_uniform_spatial(n)
+        key = (cfg.alpha, cfg.r, tgrid.M, tgrid.sigma1, tgrid.sigma2, xgrid.n)
+        keys.append(key)
+        if key in _solve_cache:  # a hit moves to the most recently used end
+            found[key] = _solve_cache[key] = _solve_cache.pop(key)
+        else:
+            groups.setdefault(key[2:5], (tgrid, {}))[1][key] = xgrid
+    for tgrid, xgrids in groups.values():
+        solves = fixed_point_solves(spec, tgrid, list(xgrids.values()))
+        for key, (U, Y, P, _) in zip(xgrids, solves):
+            held = sum(map(_triple_bytes, _solve_cache.values()))
+            while _solve_cache and held + _triple_bytes((U, Y, P)) > _SOLVE_CACHE_BYTES:
+                held -= _triple_bytes(_solve_cache.pop(next(iter(_solve_cache))))
+            found[key] = _solve_cache[key] = (U, Y, P)
+    return [found[key] for key in keys]
 
 
 def _study_rows(cfg: ExperimentConfig) -> ConvergenceTable:
     """Errors of each run point against the reference, and the orders
     between consecutive rows.  A point p solves at (m, n) = (fixed, p) on
     a spatial study, labelled n, and at (p, fixed) on a temporal one,
-    labelled 2^m."""
+    labelled 2^m.  The reference and the rows are solved first, so that a
+    spatial study, whose grids share one temporal grid, solves them all as
+    one group."""
     spec = default_experiment_spec(cfg.alpha, cfg.r)
     spatial = cfg.kind == "spatial-study"
 
-    def grids(p: int) -> tuple[int, int]:
-        return (cfg.fixed, p) if spatial else (p, cfg.fixed)
+    def grids(p: int, reference: bool = False) -> tuple[int, int, bool]:
+        return (cfg.fixed, p, reference) if spatial else (p, cfg.fixed, reference)
 
-    Ur, Yr, Pr = _solve_point(spec, cfg, *grids(cfg.reference), reference=True)
+    (Ur, Yr, Pr), *solves = _solve_points(
+        spec, cfg, [grids(cfg.reference, reference=True)] + [grids(p) for p in cfg.points])
     rows = []
-    for p in cfg.points:
-        U, Y, P = _solve_point(spec, cfg, *grids(p))
+    for p, (U, Y, P) in zip(cfg.points, solves):
         param = p if spatial else 2 ** p
         eY, eP, eU = error_l2l2(Y, Yr), error_l2l2(P, Pr), error_l2l2(U, Ur)
         oY = oP = oU = math.nan

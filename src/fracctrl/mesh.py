@@ -50,6 +50,11 @@ class SpatialGrid:
 
     n: int
 
+    def __post_init__(self):
+        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
+            raise ValueError(f"spatial cell count n must be an integer >= 2, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
+
     @property
     def h(self) -> float:
         return 1.0 / self.n
@@ -115,9 +120,7 @@ def grading_exponents(alpha: float, r: float, sigma1: float | None = None,
 
 
 def build_uniform_spatial(n: int) -> SpatialGrid:
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError(f"spatial cell count must be an integer >= 2, got {n!r}")
-    return SpatialGrid(int(n))
+    return SpatialGrid(n)
 
 
 def merge_breakpoints(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -26,8 +26,10 @@ Every quantity that depends only on the grids (near blocks, far-field
 weights, the diagonal solves' scales) sits in a `MarchPlan`, built once and
 shared by all marches of a solve; `march` runs on sine coefficients in
 place, so a caller that stays in that basis transforms only what it needs
-at the nodes.  Beyond the fields, a march keeps O(Q n) and the plan
-O(K (n + PANEL + Q)); work is O(K (Q + PANEL) n).
+at the nodes.  Only the scales depend on the sine modes, and each mode
+marches on its own, so one plan and one march serve the modes of several
+spatial grids side by side.  Beyond the fields, a march keeps O(Q n) and
+the plan O(K (n + PANEL + Q)); work is O(K (Q + PANEL) n).
 """
 
 from __future__ import annotations
@@ -121,13 +123,13 @@ def _slab_integral(lam: np.ndarray, tau: np.ndarray) -> np.ndarray:
 
 
 class _Panel(NamedTuple):
-    """Grid-only quantities of the panel of rows k0..k1-1 (marching order)."""
+    """Temporal quantities of the panel of rows k0..k1-1 (marching order):
+    the same for every sine mode."""
 
     k0: int
     k1: int
     near: np.ndarray   # columns k0..k1-1 of its rows of L, C-contiguous
     prev: np.ndarray   # column k0-1 of its rows (empty in the first panel)
-    scale: np.ndarray  # mu / (L_kk mu + tau_k kappa), a view of MarchPlan.scale
     rows: np.ndarray   # far-field read: c omega_q a_q(k) exp(-lam_q (t_k - t_k0))
     fold: np.ndarray   # slabs j0..k1-2 into S at t_k1 (None in the last panel)
     decay: np.ndarray  # S from t_k0 to t_k1, one row per term it keeps
@@ -136,7 +138,10 @@ class _Panel(NamedTuple):
 @dataclass(frozen=True)
 class MarchPlan:
     """What the forward and the adjoint march need that depends only on the
-    grids, the order and the spatial operators, panel by panel.  Each
+    temporal grid, the order and the sine modes: panel by panel the
+    temporal quantities, which hold for every mode, and per slab and mode
+    the scale of the diagonal solve.  The modes may be those of several
+    spatial grids side by side, as each column marches on its own.  Each
     direction is built on its first march and serves every later one; the
     two share the exponential sum and the diagonal solves.  See `march`."""
 
@@ -170,7 +175,6 @@ class MarchPlan:
         K = B.grid.num_slabs
         nodes = -B.grid.nodes[::-1] if adjoint else B.grid.nodes
         tau = np.diff(nodes)
-        scale = self.scale[::-1] if adjoint else self.scale
         panels = []
         q = 0  # terms the panel reads: S[q:] is zero
         for k0 in range(0, K, PANEL):
@@ -189,17 +193,17 @@ class MarchPlan:
                 lq = lam[:q]
                 fold = _decay(lq, nodes[k1] - nodes[j0 + 1:k1]) * _slab_integral(lq, tau[j0:k1 - 1])
                 decay = _decay(lq, nodes[k1:k1 + 1] - nodes[k0]).T
-            panels.append(_Panel(k0, k1, np.ascontiguousarray(L), prev, scale[k0:k1],
-                                 rows, fold, decay))
+            panels.append(_Panel(k0, k1, np.ascontiguousarray(L), prev, rows, fold, decay))
         return tuple(panels)
 
 
-def march_plan(B: TemporalCouplingMatrix, mass: TriDiagonalOperator,
-               stiffness: TriDiagonalOperator) -> MarchPlan:
-    """The plan of both marches for the coupling B and the spatial operators."""
+def march_plan(B: TemporalCouplingMatrix, mu: np.ndarray, kappa: np.ndarray) -> MarchPlan:
+    """The plan of both marches for the coupling B on the sine modes whose
+    mass and stiffness eigenvalues are mu and kappa (`eigenvalues()` of the
+    stencils, or those of several grids concatenated)."""
     tau = B.grid.widths
     lam, omega = exp_sum(B.alpha, float(tau.min()), float(B.grid.nodes[-1] - B.grid.nodes[0]))
-    return MarchPlan(B=B, mu=mass.eigenvalues(), kappa=stiffness.eigenvalues(),
+    return MarchPlan(B=B, mu=mu, kappa=kappa,
                      lam=lam, comega=-B.alpha / math.gamma(1.0 - B.alpha) * omega)
 
 
@@ -222,7 +226,8 @@ def march(plan: MarchPlan, Z: np.ndarray, adjoint: bool = False) -> np.ndarray:
     if Z.shape != want:
         raise ValueError(f"march of shape {Z.shape} on a plan for {want}")
     S = np.zeros((plan.lam.size, Z.shape[1]))
-    for k0, k1, L, prev, scale, rows, fold, decay in (plan.adjoint if adjoint else plan.forward):
+    scale = plan.scale[::-1] if adjoint else plan.scale
+    for k0, k1, L, prev, rows, fold, decay in (plan.adjoint if adjoint else plan.forward):
         R = Z[k0:k1]
         q = rows.shape[1]
         if k0 > 0:
@@ -233,7 +238,7 @@ def march(plan: MarchPlan, Z: np.ndarray, adjoint: bool = False) -> np.ndarray:
         for i in range(k1 - k0):
             r = R[i]
             r -= L[i, :i] @ R[:i]
-            r *= scale[i]
+            r *= scale[k0 + i]
         if fold is not None:
             q_next = decay.shape[0]
             S[:q_next] = decay * S[:q_next] + fold.T @ Z[max(k0 - 1, 0):k1 - 1]
@@ -244,7 +249,7 @@ def march(plan: MarchPlan, Z: np.ndarray, adjoint: bool = False) -> np.ndarray:
 def _solve(B: TemporalCouplingMatrix, mass: TriDiagonalOperator,
            stiffness: TriDiagonalOperator, src: np.ndarray, adjoint: bool) -> np.ndarray:
     """Nodal solution of one march, on a plan of its own, for nodal sources."""
-    plan = march_plan(B, mass, stiffness)
+    plan = march_plan(B, mass.eigenvalues(), stiffness.eigenvalues())
     Z = march(plan, sine_transform(src), adjoint)
     Z /= plan.mu
     return sine_transform(Z, overwrite=True)

@@ -7,8 +7,8 @@ from scipy.integrate import quad
 
 from fracctrl import control
 from fracctrl.control import (MAX_ITER, TOL, ControlField, FixedPointDiverged, control_loads,
-                              evaluate_cost, fixed_point_solve, optimality_residual,
-                              project_admissible)
+                              evaluate_cost, fixed_point_solve, fixed_point_solves,
+                              optimality_residual, project_admissible)
 from fracctrl.fem import assemble_mass, assemble_stiffness, l2_project
 from fracctrl.fracops import assemble_coupling, source_moments
 from fracctrl.mesh import build_graded, build_uniform_spatial, default_sigmas
@@ -365,9 +365,9 @@ def test_fixed_point_matches_the_nodal_composition(case):
 def test_fixed_point_iteration_cap(monkeypatch):
     spec, tg, xg = small_instance(m=4, n=8)
     monkeypatch.setattr(control, "MAX_ITER", 1)
-    with pytest.raises(FixedPointDiverged, match="no convergence after 1 iterations") as err:
+    with pytest.raises(FixedPointDiverged, match="n=8: no convergence after 1 iterations") as err:
         fixed_point_solve(spec, tg, xg)
-    assert err.value.iterations == 1
+    assert err.value.iterations == 1 and err.value.n == 8
     assert err.value.last_increment > 1e-13
     assert err.value.theta == 1.0 and math.isnan(err.value.lipschitz)
     # later iterations report the measured ratio and the damping it set
@@ -398,6 +398,36 @@ def test_fixed_point_stops_itself_when_it_stalls(alpha):
     assert err.value.iterations < 130
     assert TOL <= err.value.best_increment <= err.value.last_increment < 1e-12
     assert f"best increment {err.value.best_increment:.3e}" in str(err.value)
+
+
+@pytest.mark.parametrize("alpha", [0.4, 0.8])
+def test_group_solve_matches_the_solo_solves(alpha):
+    # box +-10 at nu = 0.01: the solo solves stop at 29 (alpha=0.4) or 30
+    # (alpha=0.8), 32 and 33 iterations, so the grids that stop first sit
+    # frozen in the marches of the others
+    spec0, tg, _ = small_instance(alpha=alpha, m=6)
+    spec = dataclasses.replace(spec0, nu=0.01, u_lo=-10.0, u_hi=10.0)
+    xgs = [build_uniform_spatial(n) for n in (4, 16, 64)]
+    group = fixed_point_solves(spec, tg, xgs)
+    assert [rep.iterations for *_, rep in group] == [29 if alpha == 0.4 else 30, 32, 33]
+    for xg, (U, Y, P, rep) in zip(xgs, group):
+        U1, Y1, P1, rep1 = fixed_point_solve(spec, tg, xg)
+        assert rep.iterations == rep1.iterations
+        assert rep.final_increment < TOL
+        assert rep.total == pytest.approx(rep1.total, rel=1e-13, abs=0.0)
+        for got, want in ((U.w, U1.w), (Y.values, Y1.values), (P.values, P1.values)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_group_solve_names_the_grid_that_stalls():
+    # at nu = 1e-4 the n=32 grid stalls after 13 iterations; the n=2 grid
+    # ahead of it in the group is still setting new minima then
+    spec0, tg, _ = small_instance(alpha=0.4, m=6)
+    spec = dataclasses.replace(spec0, nu=1e-4, u_lo=-10.0, u_hi=10.0)
+    with pytest.raises(FixedPointDiverged, match="n=32: stalled after 13 iterations") as err:
+        fixed_point_solves(spec, tg, [build_uniform_spatial(2), build_uniform_spatial(32)])
+    assert err.value.n == 32 and err.value.iterations == 13
 
 
 def test_optimality_residual_detects_perturbation():

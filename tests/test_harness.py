@@ -288,22 +288,25 @@ def test_study_determinism():
 
 
 def _count_solves(monkeypatch):
-    calls = []
-    real = harness.fixed_point_solve
+    """Every grid that the study solves, as (M, sigma1, sigma2, n), and each
+    group call as the list of its grids."""
+    calls, groups = [], []
+    real = harness.fixed_point_solves
 
-    def counted(spec, tgrid, xgrid, **kw):
-        calls.append((tgrid.M, tgrid.sigma1, tgrid.sigma2, xgrid.n))
-        return real(spec, tgrid, xgrid, **kw)
+    def counted(spec, tgrid, xgrids):
+        groups.append([(tgrid.M, tgrid.sigma1, tgrid.sigma2, xg.n) for xg in xgrids])
+        calls.extend(groups[-1])
+        return real(spec, tgrid, xgrids)
 
-    monkeypatch.setattr(harness, "fixed_point_solve", counted)
-    return calls
+    monkeypatch.setattr(harness, "fixed_point_solves", counted)
+    return calls, groups
 
 
 def test_shared_reference_solved_once(monkeypatch):
     # the spatial reference (m=5, n=16) and the temporal reference (m=5,
     # n=16) build the same graded grids; the temporal rows run on uniform
     # grids, which the reference never does
-    calls = _count_solves(monkeypatch)
+    calls, _ = _count_solves(monkeypatch)
     clear_solve_cache()
     run_spatial_study(ExperimentConfig(kind="spatial-study", alpha=0.7, r=0.0,
                                        grading="graded", points=(4, 8),
@@ -316,8 +319,22 @@ def test_shared_reference_solved_once(monkeypatch):
                                     (2 ** 4, 1.0, 1.0, 16)])
 
 
+def test_spatial_study_solves_its_grids_as_one_group(monkeypatch):
+    # the reference and every row share the temporal grid, so one call
+    # solves them all; a temporal study's grids differ in time, one call each
+    _, groups = _count_solves(monkeypatch)
+    clear_solve_cache()
+    run_spatial_study(ExperimentConfig(kind="spatial-study", alpha=0.7, r=0.0,
+                                       grading="graded", points=(4, 8),
+                                       reference=16, fixed=5))
+    s1, s2 = default_sigmas(0.7, 0.0)
+    assert groups == [[(2 ** 5, s1, s2, 16), (2 ** 5, s1, s2, 4), (2 ** 5, s1, s2, 8)]]
+    run_temporal_study(tiny_temporal_cfg(fixed=12))
+    assert [len(g) for g in groups] == [3, 1, 1, 1]
+
+
 def test_solve_cache_evicts_least_recently_used(monkeypatch):
-    calls = _count_solves(monkeypatch)
+    calls, _ = _count_solves(monkeypatch)
     # a triple on 2M = 2^(m+1) slabs, n=8 takes (9 + 7 + 7) * 8 bytes a
     # slab: m=2 and m=3 fit together, m=2, 3 and 4 do not, m=2 and 4 do
     monkeypatch.setattr(harness, "_SOLVE_CACHE_BYTES", 184 * (8 + 32))
@@ -325,7 +342,7 @@ def test_solve_cache_evicts_least_recently_used(monkeypatch):
     spec = harness.default_experiment_spec(0.7, 0.0)
 
     def solve(m):
-        return harness._solve_point(spec, tiny_temporal_cfg(), m, 8)
+        return harness._solve_points(spec, tiny_temporal_cfg(), [(m, 8, False)])[0]
 
     a = solve(2)
     solve(3)
@@ -337,13 +354,13 @@ def test_solve_cache_evicts_least_recently_used(monkeypatch):
 
 
 def test_solve_cache_triple_above_the_bound_evicts_the_rest(monkeypatch):
-    calls = _count_solves(monkeypatch)
+    calls, _ = _count_solves(monkeypatch)
     monkeypatch.setattr(harness, "_SOLVE_CACHE_BYTES", 184 * (8 + 16))
     clear_solve_cache()
     spec = harness.default_experiment_spec(0.7, 0.0)
 
     def solve(m):
-        return harness._solve_point(spec, tiny_temporal_cfg(), m, 8)
+        return harness._solve_points(spec, tiny_temporal_cfg(), [(m, 8, False)])[0]
 
     solve(2)
     solve(3)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fracctrl.mesh import (build_graded, build_uniform_spatial, default_sigmas,
+from fracctrl.mesh import (SpatialGrid, build_graded, build_uniform_spatial, default_sigmas,
                            merge_breakpoints)
 
 
@@ -121,8 +121,13 @@ def test_build_graded_rejects(bad):
 
 
 def test_spatial_rejects_small():
-    with pytest.raises(ValueError):
-        build_uniform_spatial(1)
+    # the grid itself checks n, whether built directly or through the builder
+    for n in (1, 2.5):
+        with pytest.raises(ValueError, match="n must be an integer >= 2"):
+            build_uniform_spatial(n)
+        with pytest.raises(ValueError, match=f"got {n!r}"):
+            SpatialGrid(n)
+    assert type(SpatialGrid(np.int64(4)).n) is int
 
 
 def test_default_sigmas_rejects():

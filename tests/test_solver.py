@@ -203,7 +203,7 @@ def test_one_plan_serves_every_march(rng):
     assert tg.num_slabs > 2 * PANEL
     B = assemble_coupling(tg, 0.8)
     mass, stiff = assemble_mass(xg), assemble_stiffness(xg)
-    plan = march_plan(B, mass, stiff)
+    plan = march_plan(B, mass.eigenvalues(), stiff.eigenvalues())
     for adjoint in (False, True, False, True):
         src = tg.widths[:, None] * rng.standard_normal((tg.num_slabs, 15))
         if adjoint:
@@ -215,6 +215,18 @@ def test_one_plan_serves_every_march(rng):
         assert np.array_equal(got, want)
     with pytest.raises(ValueError, match="shape"):
         march(plan, np.zeros((tg.num_slabs, 14)))
+    # the modes of a second grid side by side: one march on both marches
+    # each grid's columns as its own plan does, to rounding in the products
+    xg5 = build_uniform_spatial(5)
+    plan5 = march_plan(B, assemble_mass(xg5).eigenvalues(), assemble_stiffness(xg5).eigenvalues())
+    both = march_plan(B, np.concatenate([plan.mu, plan5.mu]),
+                      np.concatenate([plan.kappa, plan5.kappa]))
+    for adjoint in (False, True):
+        src = rng.standard_normal((tg.num_slabs, 15 + 4))
+        got = march(both, src.copy(), adjoint)
+        want = np.hstack([march(plan, src[:, :15].copy(), adjoint),
+                          march(plan5, src[:, 15:].copy(), adjoint)])
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def _dense(op):
