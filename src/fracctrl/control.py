@@ -360,6 +360,8 @@ def fixed_point_solves(spec: ProblemSpec, tgrid: TemporalGrid,
     bad = validate(spec)
     if bad:
         raise ValueError(f"invalid problem spec, offending fields: {', '.join(bad)}")
+    if not xgrids:
+        raise ValueError("xgrids is empty: give at least one spatial grid")
     if tgrid.nodes[0] != 0.0 or tgrid.nodes[-1] != spec.T:
         raise ValueError(f"the temporal grid spans ({tgrid.nodes[0]}, {tgrid.nodes[-1]}), "
                          f"not (0, T = {spec.T})")

@@ -430,6 +430,12 @@ def test_group_solve_names_the_grid_that_stalls():
     assert err.value.n == 32 and err.value.iterations == 13
 
 
+def test_group_solve_needs_a_grid():
+    spec, tg, _ = small_instance(m=4, n=8)
+    with pytest.raises(ValueError, match="xgrids"):
+        fixed_point_solves(spec, tg, [])
+
+
 def test_optimality_residual_detects_perturbation():
     spec, tg, xg = small_instance(m=4, n=8)
     U, Y, P, _ = fixed_point_solve(spec, tg, xg)

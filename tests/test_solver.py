@@ -229,6 +229,53 @@ def test_one_plan_serves_every_march(rng):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def _row_loop_march(plan, Z, adjoint):
+    """The march as a plain row loop over the plan's panels: near field
+    r -= L[i, :i] @ R[:i], r *= scale, far field read and folded as it."""
+    S = np.zeros((plan.lam.size, Z.shape[1]))
+    scale = plan.scale[::-1] if adjoint else plan.scale
+    for k0, k1, L, prev, rows, fold, decay in (plan.adjoint if adjoint else plan.forward):
+        R = Z[k0:k1]
+        q = rows.shape[1]
+        if k0 > 0:
+            hist = np.multiply.outer(prev, Z[k0 - 1])
+            if q:
+                hist += rows @ S[:q]
+            R -= hist
+        for i in range(k1 - k0):
+            r = R[i]
+            r -= L[i, :i] @ R[:i]
+            r *= scale[k0 + i]
+        if fold is not None:
+            q_next = decay.shape[0]
+            S[:q_next] = decay * S[:q_next] + fold.T @ Z[max(k0 - 1, 0):k1 - 1]
+            S[q_next:q] = 0.0
+    return Z
+
+
+@pytest.mark.parametrize("M, ns", [(16, (16,)), (50, (16,)), (64, (16, 5))])
+def test_march_matches_the_row_loop_bit_for_bit(M, ns, rng):
+    # 32 slabs: one partial panel; 100: one full panel and a partial one;
+    # 128: two full panels on the modes of two grids side by side
+    tg = build_graded(M, *default_sigmas(0.8, 0.0), 1.0)
+    B = assemble_coupling(tg, 0.8)
+    xgs = [build_uniform_spatial(n) for n in ns]
+    plan = march_plan(B, np.concatenate([assemble_mass(xg).eigenvalues() for xg in xgs]),
+                      np.concatenate([assemble_stiffness(xg).eigenvalues() for xg in xgs]))
+    for adjoint in (False, True):
+        src = tg.widths[:, None] * rng.standard_normal((tg.num_slabs, plan.mu.size))
+        want = _row_loop_march(plan, src.copy(), adjoint)
+        assert np.array_equal(march(plan, src.copy(), adjoint), want)
+
+
+def test_march_rejects_other_dtypes(small_setup):
+    tg, xg, B, mass, stiff = small_setup
+    plan = march_plan(B, mass.eigenvalues(), stiff.eigenvalues())
+    for dtype in (np.int64, np.float32, np.complex128):
+        with pytest.raises(ValueError, match=np.dtype(dtype).name):
+            march(plan, np.ones((tg.num_slabs, xg.num_interior), dtype=dtype))
+
+
 def _dense(op):
     off = np.full(op.size - 1, op.off)
     return np.diag(np.full(op.size, op.diag)) + np.diag(off, 1) + np.diag(off, -1)
