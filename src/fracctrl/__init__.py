@@ -7,9 +7,8 @@ convergence-study harness."""
 from .control import (ControlField, CostReport, FixedPointDiverged,
                       control_loads, evaluate_cost, fixed_point_solve,
                       fixed_point_solves, optimality_residual, project_admissible)
-from .fem import (NodalFunction, TriDiagonalOperator, assemble_mass,
-                  assemble_stiffness, l2_project, load_descriptor,
-                  load_powerlaw, sine_transform, solve_tridiagonal)
+from .fem import (TriDiagonalOperator, assemble_mass, assemble_stiffness,
+                  load_descriptor, load_powerlaw, sine_transform)
 from .fracops import (KernelMoments, OracleToleranceError,
                       TemporalCouplingMatrix, assemble_coupling,
                       half_derivative_oracle, source_moments)

@@ -19,8 +19,8 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _add_problem(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=0.5, help="fractional order in (0,1)")
-    p.add_argument("--r", type=float, default=0.0, help="smoothness index in [0,1)")
+    p.add_argument("--alpha", type=float, help="fractional order in (0,1), default 0.5")
+    p.add_argument("--r", type=float, help="smoothness index in [0,1), default 0")
     p.add_argument("--sigma1", type=float, default=None, help="override grading exponent at t=0")
     p.add_argument("--sigma2", type=float, default=None, help="override grading exponent at t=T")
     p.add_argument("--out", type=str, default=None, help="output file")
@@ -128,6 +128,11 @@ def _cmd_study(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for name, value in (("alpha", 0.5), ("r", 0.0)):  # here, so --config sees a given flag
+            if getattr(args, name) is None:
+                setattr(args, name, value)
+            elif getattr(args, "config", None):
+                raise ValueError(f"--{name} does not apply with --config, whose file sets {name}")
         if args.command == "forward":
             return _cmd_forward(args)
         if args.command == "ocp":

@@ -18,8 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fem import (TriDiagonalOperator, assemble_mass, assemble_stiffness, load_descriptor,
-                  sine_transform)
+from .fem import assemble_mass, assemble_stiffness, load_descriptor, sine_transform
 from .fracops import assemble_coupling, source_moments
 from .mesh import SpatialGrid, TemporalGrid
 from .problem import ProblemSpec, validate
@@ -111,12 +110,6 @@ class ControlField:
         v = np.insert(np.clip(self.w, self.u_lo, self.u_hi).ravel(), at, b)
         cuts = np.cumsum(n + 1 + np.bincount(k, minlength=slabs))[:-1]
         return tuple(zip(np.split(x, cuts), np.split(v, cuts)))
-
-    def evaluate(self, k: int, x) -> np.ndarray:
-        """Values of slab k (1-indexed) at abscissae x."""
-        if not 1 <= k <= self.tgrid.num_slabs:
-            raise ValueError(f"slab index must lie in 1..{self.tgrid.num_slabs}, got {k}")
-        return self._values_at(k - 1, x)
 
     def spatial_loads(self) -> np.ndarray:
         return control_loads(self)
@@ -230,22 +223,13 @@ class CostReport:
     final_increment: float = math.nan
 
 
-def _control_norm_sq(U, tgrid: TemporalGrid, mass: TriDiagonalOperator) -> float:
-    if U is None:
-        return 0.0
-    if isinstance(U, ControlField):
-        return U.norm_l2l2_sq()
-    # member of the discrete space
-    return float(np.sum(tgrid.widths * np.einsum("ki,ki->k", U.values, mass.apply(U.values))))
-
-
 def _tracking(widths: np.ndarray, ymy: np.ndarray, cross: np.ndarray, yd_sq: float) -> float:
     """1/2 ||Y - yd||^2 = 1/2 sum_k tau_k (Y_k.M Y_k - 2 Y_k.yd_load + ||yd||^2)
     from its per-slab mass form ymy and cross loads."""
     return 0.5 * float(np.sum(widths * (ymy - 2.0 * cross + yd_sq)))
 
 
-def evaluate_cost(U, Y: SpaceTimeField, spec: ProblemSpec) -> CostReport:
+def evaluate_cost(U: ControlField, Y: SpaceTimeField, spec: ProblemSpec) -> CostReport:
     """J(U) = 1/2 ||Y - yd||^2 + nu/2 ||U||^2 with the tracking misfit
     expanded into the mass form, exact cross loads, and the closed-form
     target norm; the penalty uses the kink-exact control norm."""
@@ -253,7 +237,7 @@ def evaluate_cost(U, Y: SpaceTimeField, spec: ProblemSpec) -> CostReport:
     ymy = np.einsum("ki,ki->k", Y.values, mass.apply(Y.values))
     cross = Y.values @ load_descriptor(Y.xgrid, spec.yd)
     tracking = _tracking(Y.tgrid.widths, ymy, cross, spec.yd.l2_norm_sq())
-    penalty = 0.5 * spec.nu * _control_norm_sq(U, Y.tgrid, mass)
+    penalty = 0.5 * spec.nu * U.norm_l2l2_sq()
     return CostReport(tracking=tracking, penalty=penalty, total=tracking + penalty)
 
 
@@ -267,7 +251,6 @@ class _GridSolve:
     tgrid: TemporalGrid
     xgrid: SpatialGrid
     cols: slice
-    mass: TriDiagonalOperator
     y0_hat: np.ndarray
     yd_hat: np.ndarray
     Q: np.ndarray
@@ -367,17 +350,16 @@ def fixed_point_solves(spec: ProblemSpec, tgrid: TemporalGrid,
                          f"not (0, T = {spec.T})")
     B = assemble_coupling(tgrid, spec.alpha)
     moments = source_moments(tgrid, spec.alpha)
-    masses = [assemble_mass(xg) for xg in xgrids]
-    plan = march_plan(B, np.concatenate([mass.eigenvalues() for mass in masses]),
+    plan = march_plan(B, np.concatenate([assemble_mass(xg).eigenvalues() for xg in xgrids]),
                       np.concatenate([assemble_stiffness(xg).eigenvalues() for xg in xgrids]))
     yd_hat = np.concatenate([sine_transform(load_descriptor(xg, spec.yd)) for xg in xgrids])
     mu, widths = plan.mu, tgrid.widths
     u_init = min(max(0.0, spec.u_lo), spec.u_hi)  # finite for a one-sided box
     grids, start = [], 0
-    for xg, mass in zip(xgrids, masses):
+    for xg in xgrids:
         cols = slice(start, start + xg.num_interior)
         start = cols.stop
-        grids.append(_GridSolve(spec, tgrid, xg, cols, mass,
+        grids.append(_GridSolve(spec, tgrid, xg, cols,
                                 sine_transform(load_descriptor(xg, spec.y0)), yd_hat[cols],
                                 np.full((tgrid.num_slabs, xg.num_interior), -spec.nu * u_init)))
 
@@ -387,7 +369,7 @@ def fixed_point_solves(spec: ProblemSpec, tgrid: TemporalGrid,
         for g in live:
             g.U = project_admissible(SpaceTimeField(tgrid, g.xgrid, g.Q),
                                      spec.nu, spec.u_lo, spec.u_hi)
-            Z[:, g.cols] = sine_transform(state_source(g.U, None, moments, g.mass).values,
+            Z[:, g.cols] = sine_transform(state_source(g.U, None, moments).values,
                                           overwrite=True)
         # made after the loads, so that it never sits beside their temporaries
         work = np.empty_like(Z)  # the y0 forcing, the co-state march, then P - Q

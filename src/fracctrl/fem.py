@@ -2,7 +2,8 @@
 
 Operators act on interior nodal coefficients only (boundary values are
 eliminated): mass and stiffness are symmetric Toeplitz stencils, diagonal
-in the DST-I basis of `sine_transform`, where a solve is one division.
+in the DST-I basis of `sine_transform` with the diagonal `eigenvalues()`,
+so the solver's slab solves are one division there.
 Loads for the power-law family c x^a (1-x) are assembled from closed-form
 monomial moments because fixed-order Gauss rules lose accuracy at the x^a
 singularity; smooth sine data uses per-element Gauss quadrature.
@@ -11,7 +12,7 @@ singularity; smooth sine data uses per-element Gauss quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import dst
@@ -21,14 +22,11 @@ from .problem import FunctionDescriptor, PowerLaw, SineCombo, TimeConstant, Zero
 
 __all__ = [
     "TriDiagonalOperator",
-    "NodalFunction",
     "assemble_mass",
     "assemble_stiffness",
     "load_powerlaw",
     "load_descriptor",
-    "l2_project",
     "sine_transform",
-    "solve_tridiagonal",
 ]
 
 # 8-point Gauss-Legendre on (-1, 1)
@@ -70,14 +68,6 @@ class TriDiagonalOperator:
         m = self.size
         off = self.off if m > 1 else 0.0
         return self.diag + 2.0 * off * np.cos(np.arange(1, m + 1) * np.pi / (m + 1))
-
-
-@dataclass(frozen=True)
-class NodalFunction:
-    """Element of the Dirichlet finite element space: interior coefficients."""
-
-    grid: SpatialGrid
-    coeffs: np.ndarray = field(repr=False)
 
 
 def assemble_mass(grid: SpatialGrid) -> TriDiagonalOperator:
@@ -150,14 +140,3 @@ def sine_transform(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
     coefficients and back (it is its own inverse)."""
     return dst(a, type=1, norm="ortho", axis=-1, overwrite_x=overwrite)
 
-
-def solve_tridiagonal(op: TriDiagonalOperator, rhs: np.ndarray) -> np.ndarray:
-    """Solve op x = rhs, along the last axis, in the sine basis, where op is
-    the diagonal of its eigenvalues."""
-    return sine_transform(sine_transform(rhs) / op.eigenvalues(), overwrite=True)
-
-
-def l2_project(grid: SpatialGrid, f: FunctionDescriptor) -> NodalFunction:
-    """L2-orthogonal projection onto the finite element space."""
-    mass = assemble_mass(grid)
-    return NodalFunction(grid, solve_tridiagonal(mass, load_descriptor(grid, f)))

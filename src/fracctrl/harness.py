@@ -337,21 +337,21 @@ def read_table_csv(text: str) -> ConvergenceTable:
 
 
 def forward_single_mode_error(alpha: float, m: int, n: int, r: float = 0.0,
-                              mode: int = 1, flavor: str = "homogeneous",
+                              flavor: str = "homogeneous",
                               sigma1: float | None = None,
                               sigma2: float | None = None) -> float:
     """L2(L2) error of the forward solve for single-mode data against the
     exact eigen-expansion, via 4-point Gauss in time per slab.
 
-    flavor "homogeneous": datum v = phi_mode, forcing through the kernel
-    moments; "constant_source": source g = phi_mode frozen in time.
+    flavor "homogeneous": datum v = phi_1, forcing through the kernel
+    moments; "constant_source": source g = phi_1 frozen in time.
     """
     tgrid = build_graded(2 ** m, *grading_exponents(alpha, r, sigma1, sigma2), 1.0)
     xgrid = build_uniform_spatial(n)
     mass = assemble_mass(xgrid)
     stiffness = assemble_stiffness(xgrid)
     B = assemble_coupling(tgrid, alpha)
-    combo = SineCombo(terms=((mode, math.sqrt(2.0)),))
+    combo = SineCombo(terms=((1, math.sqrt(2.0)),))
     loadv = load_descriptor(xgrid, combo)
     if flavor == "homogeneous":
         mom = source_moments(tgrid, alpha)

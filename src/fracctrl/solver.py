@@ -8,7 +8,8 @@ functions turns the forward problem into a lower-triangular block system:
 
 marched for k = 1..2M.  The adjoint operator transposes the temporal
 coupling; reversing time makes it lower triangular again, so both solves
-run through the same march.
+run through the same march.  Their sources are loads: `state_source` takes
+the control's and the initial datum's, `adjoint_source` the misfit's.
 
 M and K are the Toeplitz stencils of `fem` and share the DST-I
 eigenvectors sin(i pi x): in that basis (`fem.sine_transform`) every slab
@@ -46,8 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fem import (TriDiagonalOperator, NodalFunction, assemble_mass, load_descriptor,
-                  sine_transform)
+from .fem import TriDiagonalOperator, assemble_mass, load_descriptor, sine_transform
 from .fracops import KernelMoments, TemporalCouplingMatrix, exp_sum
 from .mesh import SpatialGrid, TemporalGrid
 from .problem import FunctionDescriptor
@@ -298,23 +298,15 @@ def apply_adjoint(B: TemporalCouplingMatrix, mass: TriDiagonalOperator,
     return SpaceTimeField(tgrid=src.tgrid, xgrid=src.xgrid, values=P[::-1])
 
 
-def state_source(U, y0_proj: NodalFunction | None, moments: KernelMoments,
-                 mass: TriDiagonalOperator) -> SourceTerm:
-    """Right side of the state solve: slab loads of the control plus the
-    kernel-moment forcing of the (projected) initial datum."""
-    tg = moments.grid
-    if U is None:
-        raise ValueError("control term must be a field (possibly zero-valued)")
-    if hasattr(U, "spatial_loads"):  # kink-aware control
-        vals = U.spatial_loads()
-    else:  # member of the discrete space: loads are exact mass actions
-        if U.tgrid.num_slabs != tg.num_slabs:
-            raise ValueError("control and moments live on different grids")
-        vals = mass.apply(U.values)
-    vals *= tg.widths[:, None]  # a fresh array
-    if y0_proj is not None:
-        vals += np.multiply.outer(moments.values, mass.apply(y0_proj.coeffs))
-    return SourceTerm(tgrid=tg, xgrid=U.xgrid, values=vals)
+def state_source(U, y0: FunctionDescriptor | None, moments: KernelMoments) -> SourceTerm:
+    """Right side of the state solve: the exact slab loads of the control U,
+    a `control.ControlField`, plus the kernel-moment forcing of the loads of
+    the initial datum y0; the mirror of `adjoint_source`."""
+    vals = U.spatial_loads()
+    vals *= moments.grid.widths[:, None]  # a fresh array
+    if y0 is not None:
+        vals += np.multiply.outer(moments.values, load_descriptor(U.xgrid, y0))
+    return SourceTerm(tgrid=moments.grid, xgrid=U.xgrid, values=vals)
 
 
 def adjoint_source(Y: SpaceTimeField, yd: FunctionDescriptor | None) -> SourceTerm:

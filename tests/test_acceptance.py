@@ -11,8 +11,8 @@ import time
 import numpy as np
 from scipy.special import erfc
 
-from fracctrl.control import fixed_point_solve, optimality_residual, evaluate_cost
-from fracctrl.fem import assemble_mass, assemble_stiffness, l2_project
+from fracctrl.control import ControlField, fixed_point_solve, optimality_residual, evaluate_cost
+from fracctrl.fem import assemble_mass, assemble_stiffness
 from fracctrl.fracops import assemble_coupling, half_derivative_oracle, source_moments
 from fracctrl.harness import (ExperimentConfig, clear_solve_cache,
                               forward_single_mode_error, run_spatial_study,
@@ -224,9 +224,8 @@ def test_criterion_8_optimizer_contract():
     mass, stiff = assemble_mass(xg), assemble_stiffness(xg)
     B = assemble_coupling(tg, spec.alpha)
     mom = source_moments(tg, spec.alpha)
-    y0p = l2_project(xg, spec.y0)
-    U0 = SpaceTimeField(tg, xg, np.zeros((tg.num_slabs, xg.num_interior)))
-    Y0 = apply_forward(B, mass, stiff, state_source(U0, y0p, mom, mass))
+    U0 = ControlField(tg, xg, spec.u_lo, spec.u_hi, np.zeros((tg.num_slabs, xg.n + 1)))
+    Y0 = apply_forward(B, mass, stiff, state_source(U0, spec.y0, mom))
     J0 = evaluate_cost(U0, Y0, spec).total
     assert rep.total <= J0
     elapsed = time.time() - t0

@@ -37,6 +37,16 @@ def test_ocp_with_config_file(tmp_path, capsys):
     assert "optimality residual" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag", ["--alpha", "--r"])
+def test_ocp_config_rejects_a_problem_flag(flag, tmp_path, capsys):
+    # the file sets alpha and r: a flag for either would be ignored
+    cfg = tmp_path / "instance.cfg"
+    cfg.write_text(to_config_text(default_experiment_spec(0.8, 0.0)))
+    rc = main(["ocp", "--m", "3", "--n", "8", "--config", str(cfg), flag, "0.3"])
+    assert rc == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_study_temporal_csv(tmp_path, capsys):
     clear_solve_cache()
     out = tmp_path / "table.csv"

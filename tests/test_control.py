@@ -9,7 +9,7 @@ from fracctrl import control
 from fracctrl.control import (MAX_ITER, TOL, ControlField, FixedPointDiverged, control_loads,
                               evaluate_cost, fixed_point_solve, fixed_point_solves,
                               optimality_residual, project_admissible)
-from fracctrl.fem import assemble_mass, assemble_stiffness, l2_project
+from fracctrl.fem import assemble_mass, assemble_stiffness
 from fracctrl.fracops import assemble_coupling, source_moments
 from fracctrl.mesh import build_graded, build_uniform_spatial, default_sigmas
 from fracctrl.problem import (ProblemSpec, SineCombo, TimeConstant, Zero,
@@ -73,7 +73,7 @@ def test_projection_crossings_single_element():
     assert vs[idx] == pytest.approx(0.1, abs=1e-14)
     assert np.all(vs <= 0.1 + 1e-15) and np.all(vs >= -0.1 - 1e-15)
     # saturated plateau between the crossings on each side of the midpoint
-    mid_vals = U.evaluate(1, np.array([0.05, 0.2]))
+    mid_vals = U.sample_lattice(tg.nodes[:1], np.array([0.05, 0.2]))[0]
     assert np.allclose(mid_vals, 0.1, atol=1e-14)
 
 
@@ -101,6 +101,12 @@ def test_loads_unconstrained_match_mass_action(rng):
     mass = assemble_mass(xg)
     assert np.array_equal(control_loads(U), mass.apply(U.w[:, 1:-1]))
     assert np.allclose(control_loads(U), -mass.apply(P.values) / nu, atol=1e-14)
+    # a finite box that holds every value: a member of the discrete space,
+    # whose loads are its mass action too
+    top = np.max(np.abs(U.w))
+    inside = project_admissible(P, nu, -top, top)
+    assert kink_count(inside) == 0
+    assert np.array_equal(control_loads(inside), mass.apply(U.w[:, 1:-1]))
 
 
 def test_loads_saturated_constant():
@@ -205,24 +211,10 @@ def test_evaluate_matches_interp_at_and_beyond_the_ends(rng):
                             1.0, 0.02, 0.2)  # nonzero at and beyond both ends
     xs = np.array([-2.0, -1e-300, 0.0, 0.3, 1.0 / 8.0, 1.0, 1.0 + 1e-15, 7.0])
     for U in (Ua, Ub):
-        for k in (1, tg.num_slabs):
-            want = np.clip(np.interp(xs, xg.nodes, U.w[k - 1]), U.u_lo, U.u_hi)
-            assert np.array_equal(U.evaluate(k, xs), want)
         ts = 0.5 * (tg.nodes[:-1] + tg.nodes[1:])
         lattice = U.sample_lattice(ts, xs)
         assert np.array_equal(lattice, [np.clip(np.interp(xs, xg.nodes, w), U.u_lo, U.u_hi)
                                         for w in U.w])
-
-
-def test_evaluate_rejects_slab_outside_range(rng):
-    tg = build_graded(4, 1.0, 1.0, 1.0)   # 2M = 8
-    xg = build_uniform_spatial(8)
-    U = project_admissible(SpaceTimeField(tg, xg, rng.standard_normal((8, 7))),
-                           1.0, -0.1, 0.1)
-    for k in (0, -1, 9):
-        with pytest.raises(ValueError, match="slab index"):
-            U.evaluate(k, [0.25])
-    assert U.evaluate(8, [0.25]).shape == (1,)
 
 
 def test_fixed_point_trivial_data():
@@ -319,14 +311,13 @@ def _nodal_fixed_point(spec, tg, xg, damped=True):
     mass, stiff = assemble_mass(xg), assemble_stiffness(xg)
     B = assemble_coupling(tg, spec.alpha)
     mom = source_moments(tg, spec.alpha)
-    y0p = l2_project(xg, spec.y0)
     u_init = min(max(0.0, spec.u_lo), spec.u_hi)
     Q = np.full((tg.num_slabs, xg.num_interior), -spec.nu * u_init)
     Q_prev = P_prev = None
     theta, history = 1.0, []
     for iterations in range(1, MAX_ITER + 1):
         U = project_admissible(SpaceTimeField(tg, xg, Q), spec.nu, spec.u_lo, spec.u_hi)
-        Y = apply_forward(B, mass, stiff, state_source(U, y0p, mom, mass))
+        Y = apply_forward(B, mass, stiff, state_source(U, spec.y0, mom))
         P = apply_adjoint(B, mass, stiff, adjoint_source(Y, spec.yd))
         history.append(evaluate_cost(U, Y, spec).total)
         if np.linalg.norm(P.values - Q) / spec.nu < TOL:
@@ -480,7 +471,7 @@ def test_cost_closed_form_target_only():
     tg = build_graded(4, 1.0, 1.0, 1.0)
     xg = build_uniform_spatial(8)
     Y0 = SpaceTimeField(tg, xg, np.zeros((8, 7)))
-    rep = evaluate_cost(None, Y0, spec0)
+    rep = evaluate_cost(ControlField(tg, xg, -0.1, 0.1, np.zeros((8, 9))), Y0, spec0)
     want = 0.5 * (1.0 / 0.02 - 2.0 / 1.02 + 1.0 / 2.02)
     assert rep.total == pytest.approx(want, rel=1e-13, abs=0.0)
     assert rep.penalty == 0.0
@@ -492,25 +483,23 @@ def test_cost_zero_everything():
     tg = build_graded(4, 1.0, 1.0, 1.0)
     xg = build_uniform_spatial(8)
     Y0 = SpaceTimeField(tg, xg, np.zeros((8, 7)))
-    assert evaluate_cost(None, Y0, spec0).total == 0.0
+    U0 = ControlField(tg, xg, -0.1, 0.1, np.zeros((8, 9)))
+    assert evaluate_cost(U0, Y0, spec0).total == 0.0
 
 
 def test_minimizer_beats_random_admissible(rng):
     spec, tg, xg = small_instance(m=4, n=16)   # 2M = 32
     U, Y, P, rep = fixed_point_solve(spec, tg, xg)
-    from fracctrl.fem import assemble_stiffness, l2_project
-    from fracctrl.fracops import assemble_coupling, source_moments
-    from fracctrl.solver import apply_forward, state_source
     mass = assemble_mass(xg)
     stiff = assemble_stiffness(xg)
     B = assemble_coupling(tg, spec.alpha)
     mom = source_moments(tg, spec.alpha)
-    y0p = l2_project(xg, spec.y0)
     u = nodal(U)
     for _ in range(20):
-        V = SpaceTimeField(tg, xg, np.clip(u + 0.05 * rng.standard_normal(u.shape),
-                                           spec.u_lo, spec.u_hi))
-        Yv = apply_forward(B, mass, stiff, state_source(V, y0p, mom, mass))
+        # an admissible member of the discrete space: nodal values in the box
+        v = np.clip(u + 0.05 * rng.standard_normal(u.shape), spec.u_lo, spec.u_hi)
+        V = ControlField(tg, xg, spec.u_lo, spec.u_hi, np.pad(v, ((0, 0), (1, 1))))
+        Yv = apply_forward(B, mass, stiff, state_source(V, spec.y0, mom))
         assert rep.total <= evaluate_cost(V, Yv, spec).total + 1e-14
 
 

@@ -6,15 +6,20 @@ from scipy.integrate import quad
 from scipy.linalg import eigh
 
 from fracctrl.fem import (TriDiagonalOperator, assemble_mass, assemble_stiffness,
-                          l2_project, load_descriptor, load_powerlaw, sine_transform,
-                          solve_tridiagonal)
+                          load_descriptor, load_powerlaw, sine_transform)
 from fracctrl.mesh import build_uniform_spatial
-from fracctrl.problem import PowerLaw, SineCombo, Zero
+from fracctrl.problem import SineCombo, Zero
 
 
 def dense(op):
     off = np.full(op.size - 1, op.off)
     return np.diag(np.full(op.size, op.diag)) + np.diag(off, -1) + np.diag(off, 1)
+
+
+def sine_solve(op, rhs):
+    """op x = rhs along the last axis in the sine basis, where op is the
+    diagonal of its eigenvalues: the division of every slab step."""
+    return sine_transform(sine_transform(rhs) / op.eigenvalues())
 
 
 def test_mass_entries_n4():
@@ -116,52 +121,17 @@ def test_zero_descriptor_load():
     assert np.array_equal(load_descriptor(g, Zero()), np.zeros(5))
 
 
-def test_projection_orthogonality_smooth():
-    g = build_uniform_spatial(32)
-    f = SineCombo(((1, 1.0),))
-    proj = l2_project(g, f)
-    resid = assemble_mass(g).apply(proj.coeffs) - load_descriptor(g, f)
-    assert np.max(np.abs(resid)) < 1e-13
-
-
-def test_projection_orthogonality_singular():
-    g = build_uniform_spatial(16)
-    f = PowerLaw(1.0, -0.49)
-    proj = l2_project(g, f)
-    assert np.all(np.isfinite(proj.coeffs))
-    resid = assemble_mass(g).apply(proj.coeffs) - load_descriptor(g, f)
-    assert np.max(np.abs(resid)) < 1e-12
-
-
-def test_projection_self_convergence_order_two():
-    def proj_err(n):
-        # integrate per element: the integrand has kinks at the nodes
-        g = build_uniform_spatial(n)
-        c = l2_project(g, SineCombo(((1, 1.0),))).coeffs
-        padded = np.concatenate([[0], c, [0]])
-        total = 0.0
-        for e in range(n):
-            val, _ = quad(lambda x: (math.sin(math.pi * x) -
-                                     np.interp(x, g.nodes, padded)) ** 2,
-                          g.nodes[e], g.nodes[e + 1], epsabs=1e-15)
-            total += val
-        return math.sqrt(total)
-
-    order = math.log(proj_err(32) / proj_err(64)) / math.log(2.0)
-    assert order == pytest.approx(2.0, abs=0.1)
-
-
 def test_solve_identity_scaled():
     op = TriDiagonalOperator(7, 3.0, 0.0)
     rhs = np.arange(7.0)
-    assert np.allclose(solve_tridiagonal(op, rhs), rhs / 3.0, rtol=0.0, atol=1e-14)
+    assert np.allclose(sine_solve(op, rhs), rhs / 3.0, rtol=0.0, atol=1e-14)
 
 
 def test_solve_recovers_known():
     g = build_uniform_spatial(16)
     M = assemble_mass(g)
     x = np.sin(np.arange(15))
-    got = solve_tridiagonal(M, M.apply(x))
+    got = sine_solve(M, M.apply(x))
     assert np.allclose(got, x, atol=1e-12)
 
 
@@ -173,7 +143,7 @@ def test_solve_against_dense_oracle(rng):
     ops.append(assemble_stiffness(build_uniform_spatial(256)))
     for op in ops:
         rhs = rng.standard_normal((3, op.size))
-        got = solve_tridiagonal(op, rhs)
+        got = sine_solve(op, rhs)
         want = np.linalg.solve(dense(op), rhs.T).T
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         assert np.linalg.norm(op.apply(got) - rhs) <= 1e-12 * np.linalg.norm(rhs)
@@ -204,14 +174,4 @@ def test_operators_symmetric_positive(rng):
         v = rng.standard_normal(g.num_interior)
         assert v @ M.apply(v) > 0.0
         assert v @ K.apply(v) > 0.0
-
-
-def test_projection_idempotent_on_members():
-    # projecting a member of the space reproduces its coefficients: the
-    # loads of a nodal function are exactly its mass action
-    g = build_uniform_spatial(32)
-    M = assemble_mass(g)
-    c = l2_project(g, PowerLaw(1.0, -0.49)).coeffs
-    again = solve_tridiagonal(M, M.apply(c))
-    assert np.max(np.abs(again - c)) <= 1e-13 * max(1.0, np.max(np.abs(c)))
 

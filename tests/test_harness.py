@@ -137,10 +137,8 @@ def test_error_controls_cross_grading(rng):
     total = 0.0
     for lo, hi in zip(ts[:-1], ts[1:]):
         tm = 0.5 * (lo + hi)
-        ka = int(np.searchsorted(tg1.nodes, tm))
-        kb = int(np.searchsorted(tg2.nodes, tm))
-        d = Ua.evaluate(ka, xs) - Ub.evaluate(kb, xs)
-        dm = Ua.evaluate(ka, mids) - Ub.evaluate(kb, mids)
+        d = Ua.sample_lattice([tm], xs)[0] - Ub.sample_lattice([tm], xs)[0]
+        dm = Ua.sample_lattice([tm], mids)[0] - Ub.sample_lattice([tm], mids)[0]
         seg = float(np.sum(w / 6.0 * (d[:-1] ** 2 + 4 * dm ** 2 + d[1:] ** 2)))
         total += (hi - lo) * seg
     assert got == pytest.approx(math.sqrt(total), abs=2e-6)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from fracctrl.fem import assemble_mass, assemble_stiffness, l2_project, load_descriptor
+from fracctrl.control import ControlField
+from fracctrl.fem import assemble_mass, assemble_stiffness, load_descriptor
 from fracctrl.fracops import assemble_coupling, exp_sum, source_moments
 from fracctrl.harness import forward_single_mode_error
 from fracctrl.mesh import build_graded, build_uniform_spatial, default_sigmas
@@ -93,10 +94,9 @@ def test_adjoint_identity_with_forward_image(small_setup, rng):
 def test_state_source_zero():
     tg = build_graded(4, 1.0, 1.0, 1.0)
     xg = build_uniform_spatial(8)
-    mass = assemble_mass(xg)
     mom = source_moments(tg, 0.5)
-    U0 = SpaceTimeField(tg, xg, np.zeros((8, 7)))
-    src = state_source(U0, None, mom, mass)
+    U0 = ControlField(tg, xg, -0.1, 0.1, np.zeros((8, 9)))
+    src = state_source(U0, None, mom)
     assert not np.any(src.values)
 
 
@@ -106,12 +106,12 @@ def test_state_source_constant_control():
     mass = assemble_mass(xg)
     mom = source_moments(tg, 0.5)
     c = 0.07
-    U = SpaceTimeField(tg, xg, np.full((8, 7), c))
-    src = state_source(U, None, mom, mass)
+    U = ControlField(tg, xg, -0.1, 0.1, np.pad(np.full((8, 7), c), ((0, 0), (1, 1))))
+    src = state_source(U, None, mom)
     # loads of the constant c (interior hats integrate to h each)... the
-    # discrete representative has zero boundary values, so compare against
-    # the exact mass action
-    want = tg.widths[:, None] * mass.apply(U.values)
+    # control has zero boundary values and no kinks, so compare against the
+    # exact mass action on its interior nodes
+    want = tg.widths[:, None] * mass.apply(U.w[:, 1:-1])
     assert np.allclose(src.values, want, rtol=1e-14)
 
 
@@ -119,13 +119,12 @@ def test_state_source_initial_datum_telescopes():
     alpha, r = 0.6, 0.25
     tg = build_graded(8, 2.0, 1.0, 1.0)
     xg = build_uniform_spatial(16)
-    mass = assemble_mass(xg)
     mom = source_moments(tg, alpha)
-    y0 = l2_project(xg, PowerLaw(1.0, 2 * r - 0.49))
-    U0 = SpaceTimeField(tg, xg, np.zeros((16, 15)))
-    src = state_source(U0, y0, mom, mass)
+    y0 = PowerLaw(1.0, 2 * r - 0.49)
+    U0 = ControlField(tg, xg, -0.1, 0.1, np.zeros((16, 17)))
+    src = state_source(U0, y0, mom)
     total = src.values.sum(axis=0)
-    want = 1.0 / math.gamma(2.0 - alpha) * mass.apply(y0.coeffs)
+    want = 1.0 / math.gamma(2.0 - alpha) * load_descriptor(xg, y0)
     assert np.allclose(total, want, rtol=1e-12)
 
 
