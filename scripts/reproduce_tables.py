@@ -6,11 +6,13 @@ Desk scale by default (self-convergence references m=9/n=256 spatially and
 m=12/n=128 temporally); pass --paper-scale for the full m=14 / n=512
 references, which took 205.5 s of wall time and 2651 MB of peak RSS on a
 2-vCPU machine.  Tables land in --outdir as CSV plus a text rendering on
-stdout.
+stdout; each table's header line gives its wall time and the process's
+peak RSS so far (ru_maxrss).
 """
 
 import argparse
 import pathlib
+import resource
 import sys
 import time
 
@@ -46,7 +48,8 @@ def main(argv=None) -> int:
         t0 = time.time()
         table = runner(cfg)
         harness.emit_table(table, "csv", args.outdir / f"{name}.csv")
-        sys.stdout.write(f"== {name} ({time.time() - t0:.0f}s)\n")
+        rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KB on Linux
+        sys.stdout.write(f"== {name} ({time.time() - t0:.0f}s, peak RSS so far {rss_mb:.0f} MB)\n")
         sys.stdout.write(harness.render_table(table, "text"))
         sys.stdout.write("\n")
     return 0

@@ -133,6 +133,9 @@ def main(argv=None) -> int:
                 setattr(args, name, value)
             elif getattr(args, "config", None):
                 raise ValueError(f"--{name} does not apply with --config, whose file sets {name}")
+        for m in args.m if isinstance(args.m, tuple) else (args.m,):  # None: a study's default
+            if m is not None and m < 1:
+                raise ValueError(f"--m must be at least 1 (M = 2^m), got {m}")
         if args.command == "forward":
             return _cmd_forward(args)
         if args.command == "ocp":

@@ -22,7 +22,7 @@ from .fem import assemble_mass, assemble_stiffness, load_descriptor, sine_transf
 from .fracops import assemble_coupling, source_moments
 from .mesh import SpatialGrid, TemporalGrid
 from .problem import ProblemSpec, validate
-from .solver import SpaceTimeField, march, march_plan, state_source
+from .solver import PANEL, SpaceTimeField, march, march_plan
 
 __all__ = [
     "ControlField",
@@ -41,6 +41,11 @@ __all__ = [
 TOL = 1e-13
 MAX_ITER = 200
 STALL = 10
+
+# values of a control's w that one block of its crossing masks, its norm
+# or the fixed point's loads takes at a time: their temporaries stay small
+# beside the fields
+BLOCK = 1 << 15
 
 
 class FixedPointDiverged(RuntimeError):
@@ -87,17 +92,7 @@ class ControlField:
     def _kinks(self) -> tuple:
         """(slab, element, local cut s in [0, 1], bound) of every point where
         w strictly crosses a bound, ordered by slab, element and s."""
-        w, cols = self.w, []
-        for b in (self.u_lo, self.u_hi):  # nothing crosses an infinite bound
-            below, above = w < b, w > b
-            cross = below[:, :-1] & above[:, 1:]
-            cross |= above[:, :-1] & below[:, 1:]
-            k, e = np.divmod(np.flatnonzero(cross), self.xgrid.n)
-            wl = w[k, e]
-            cols.append((k, e, (b - wl) / (w[k, e + 1] - wl), np.full(k.size, b)))
-        k, e, s, b = map(np.concatenate, zip(*cols))
-        order = np.lexsort((s, e, k))
-        return k[order], e[order], s[order], b[order]
+        return _crossings(self.w, self.u_lo, self.u_hi)
 
     @cached_property
     def pieces(self) -> tuple:
@@ -115,14 +110,9 @@ class ControlField:
         return control_loads(self)
 
     def norm_l2l2_sq(self) -> float:
-        """Exact squared norm over space-time: sum_k tau_k c_k^T M c_k for
-        the nodal clamp c, plus int U^2 - (I_h U)^2 on the kinked elements."""
-        c = np.clip(self.w, self.u_lo, self.u_hi)
-        cl, cr = c[:, :-1], c[:, 1:]
-        nodal = np.einsum("ke,ke->k", cl, cl + cr) + np.einsum("ke,ke->k", cr, cr)
-        k, _, s, u, iu = _kinked_elements(self)
-        kinked = float(self.tgrid.widths[k] @ _simpson(s, u - iu, u + iu))
-        return self.xgrid.h * (float(self.tgrid.widths @ nodal) / 3.0 + kinked)
+        """Exact squared norm over space-time (`_norm_sq`)."""
+        blocks = ((ks, self.w[ks]) for ks in _row_blocks(*self.w.shape))
+        return _norm_sq(self.tgrid.widths, self.xgrid.h, self.u_lo, self.u_hi, blocks)
 
     def sample_lattice(self, ts, xs) -> np.ndarray:
         """Values on a (t, x) lattice; piecewise constant in t."""
@@ -135,6 +125,49 @@ class ControlField:
         return _interp_clip(self.xgrid.nodes, self.w, self.u_lo, self.u_hi, k, x)
 
 
+def _row_blocks(rows: int, width: int) -> list:
+    """Slices of `rows` rows of `width` values, BLOCK values or one row
+    each, the last one shorter."""
+    step = max(1, BLOCK // width)
+    return [slice(k0, min(k0 + step, rows)) for k0 in range(0, rows, step)]
+
+
+def _crossings(w: np.ndarray, lo: float, hi: float) -> tuple:
+    """(row, element, local cut s in [0, 1], bound) of every point where the
+    linear interpolant of a row of w strictly crosses lo or hi, ordered by
+    row, element and s; the masks cover one block of rows at a time."""
+    n, cols = w.shape[1] - 1, []
+    for b in (lo, hi):  # nothing crosses an infinite bound
+        for ks in _row_blocks(*w.shape):
+            wb = w[ks]
+            below, above = wb < b, wb > b
+            cross = below[:, :-1] & above[:, 1:]
+            cross |= above[:, :-1] & below[:, 1:]
+            k, e = np.divmod(np.flatnonzero(cross), n)
+            wl = wb[k, e]
+            cols.append((k + ks.start, e, (b - wl) / (wb[k, e + 1] - wl), np.full(k.size, b)))
+    k, e, s, b = map(np.concatenate, zip(*cols))
+    order = np.lexsort((s, e, k))
+    return k[order], e[order], s[order], b[order]
+
+
+def _norm_sq(widths: np.ndarray, h: float, lo: float, hi: float, blocks) -> float:
+    """Exact squared L2(L2) norm of the control clamp(w) onto [lo, hi] from
+    its rows w, given as (slabs, w[slabs]) block by block in slab order:
+    sum_k tau_k c_k^T M c_k for the nodal clamp c, plus int U^2 - (I_h U)^2
+    on the kinked elements.  No temporary outgrows a block."""
+    nodal, slabs, kinked = np.empty(widths.size), [], []
+    for ks, w in blocks:
+        c = np.clip(w, lo, hi)
+        cl, cr = c[:, :-1], c[:, 1:]
+        nodal[ks] = np.einsum("ke,ke->k", cl, cl + cr) + np.einsum("ke,ke->k", cr, cr)
+        k, _, s, u, iu = _kinked_elements(w, lo, hi)
+        slabs.append(k + ks.start)
+        kinked.append(_simpson(s, u - iu, u + iu))
+    kinked = float(widths[np.concatenate(slabs)] @ np.concatenate(kinked))
+    return h * (float(widths @ nodal) / 3.0 + kinked)
+
+
 def _cut_abscissae(nodes: np.ndarray, e: np.ndarray, s: np.ndarray) -> np.ndarray:
     """x of the cuts at local abscissae s in elements e, each scaled by its
     own element's width: the nodes need not be uniform."""
@@ -142,16 +175,17 @@ def _cut_abscissae(nodes: np.ndarray, e: np.ndarray, s: np.ndarray) -> np.ndarra
     return xl + (nodes[e + 1] - xl) * s
 
 
-def _kinked_elements(U: ControlField) -> tuple:
-    """(slab, element, s, u, iu) of every kinked element: rows of the local
-    abscissae [0, s1, s2, 1] (s1 = s2 for one cut), the control there, and
-    the interpolant I_h U of its nodal values there.  U - I_h U is linear
-    between the columns and zero at both nodes."""
-    k, e, s, b = U._kinks
-    key = k * U.xgrid.n + e
+def _kinked_elements(w: np.ndarray, lo: float, hi: float) -> tuple:
+    """(row, element, s, u, iu) of every kinked element of the control
+    clamp(w) onto [lo, hi]: rows of the local abscissae [0, s1, s2, 1]
+    (s1 = s2 for one cut), the control there, and the interpolant I_h U of
+    its nodal values there.  U - I_h U is linear between the columns and
+    zero at both nodes."""
+    k, e, s, b = _crossings(w, lo, hi)
+    key = k * w.shape[1] + e
     first, last = np.flatnonzero(np.diff(key, prepend=-1)), np.flatnonzero(np.diff(key, append=-1))
     k, e = k[first], e[first]
-    c = np.clip(U.w[k[:, None], e[:, None] + (0, 1)], U.u_lo, U.u_hi)
+    c = np.clip(w[k[:, None], e[:, None] + (0, 1)], lo, hi)
     s = np.column_stack((np.zeros(k.size), s[first], s[last], np.ones(k.size)))
     u = np.column_stack((c[:, 0], b[first], b[last], c[:, 1]))
     return k, e, s, u, c[:, :1] * (1.0 - s) + c[:, 1:] * s
@@ -191,22 +225,29 @@ def project_admissible(P: SpaceTimeField, nu: float, u_lo: float, u_hi: float) -
 
 
 def control_loads(U: ControlField) -> np.ndarray:
-    """Exact per-slab loads int U phi_i dx of the interior hats.
+    """Exact per-slab loads int U phi_i dx of the interior hats."""
+    out = np.empty((U.tgrid.num_slabs, U.xgrid.num_interior))
+    return _loads(U.xgrid, U.w, U.u_lo, U.u_hi, out, np.empty_like(out))
+
+
+def _loads(xg: SpatialGrid, w: np.ndarray, lo: float, hi: float,
+           out: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The loads of the control clamp(w) onto [lo, hi] on the slabs of the
+    rows of w, written into out with t as the one temporary; out and t may
+    be column views of wider arrays.
 
     The mass action on the nodal clamp c, plus the loads of U - I_h U on the
     kinked elements: linear between the cuts and zero at both nodes, so
     Simpson's rule integrates it against a hat exactly.
     """
-    xg, w, lo, hi = U.xgrid, U.w, U.u_lo, U.u_hi
     mass = assemble_mass(xg)
     # the mass stencil on c, whose ends are nonzero when the box excludes 0;
-    # each neighbour is clamped into one temporary, so no copy of c is made
-    out = np.clip(w[:, 1:-1], lo, hi)
+    # each neighbour is clamped into the temporary, so no copy of c is made
+    np.clip(w[:, 1:-1], lo, hi, out=out)
     out *= mass.diag
-    t = np.clip(w[:, 2:], lo, hi)
-    out += np.multiply(t, mass.off, out=t)
+    out += np.multiply(np.clip(w[:, 2:], lo, hi, out=t), mass.off, out=t)
     out += np.multiply(np.clip(w[:, :-2], lo, hi, out=t), mass.off, out=t)
-    k, e, s, u, iu = _kinked_elements(U)
+    k, e, s, u, iu = _kinked_elements(w, lo, hi)
     # (slab, element) pairs are unique; the end nodes carry no hat
     for node, weight in ((e, 1.0 - s), (e + 1, s)):
         hat = (node > 0) & (node < xg.n)
@@ -244,8 +285,13 @@ def evaluate_cost(U: ControlField, Y: SpaceTimeField, spec: ProblemSpec) -> Cost
 @dataclass(eq=False)
 class _GridSolve:
     """The fixed point's state on one spatial grid of a group: its columns
-    of the group's sine coefficients, its iterate Q with the damping it
-    measures, and its result once it stops."""
+    of the group's sine coefficients, its two fields, the damping it
+    measures, and its result once it stops.
+
+    The fields are made once per solve: the iterate Q, and X, which holds
+    the previous P and then P - Q.  The control clamp(-Q/nu) is formed for
+    its loads a block of slabs at a time; the accepted iteration alone forms
+    it whole, and returns Y on Q and P on X."""
 
     spec: ProblemSpec
     tgrid: TemporalGrid
@@ -254,8 +300,7 @@ class _GridSolve:
     y0_hat: np.ndarray
     yd_hat: np.ndarray
     Q: np.ndarray
-    U: ControlField | None = None
-    P_prev: np.ndarray | None = None
+    X: np.ndarray = field(init=False, repr=False)
     moved: float = math.nan     # ||Q_k - Q_{k-1}||
     increment: float = math.nan
     best: float = math.inf
@@ -264,42 +309,87 @@ class _GridSolve:
     theta: float = 1.0
     result: tuple | None = None
 
-    def take(self, P: np.ndarray, step: np.ndarray, Z: np.ndarray, mu: np.ndarray,
-             iterations: int) -> None:
-        """Take the co-state P of iteration `iterations`.  `step`, a spent
-        block of the group's work, holds P - Q; Z and mu are the grid's
-        columns of the state march (mu Y^) and of the mass eigenvalues.  Once
-        r < TOL keep (U, Y, P, CostReport) and zero Z, which the marches then
-        keep; otherwise raise on a stall, or move Q."""
-        spec, tgrid, xgrid = self.spec, self.tgrid, self.xgrid
-        np.subtract(P, self.Q, out=step)
-        self.increment = increment = float(np.linalg.norm(step)) / spec.nu
+    def __post_init__(self):
+        self.X = np.empty_like(self.Q)
+
+    def control_blocks(self):
+        """The control clamp(-Q/nu) as (slabs, w[slabs]) a block of slabs at
+        a time, w = -Q/nu with its zero ends, in one buffer."""
+        blocks = _row_blocks(len(self.Q), self.xgrid.n + 1)
+        panel = np.zeros((blocks[0].stop, self.xgrid.n + 1))
+        for ks in blocks:
+            w = panel[:ks.stop - ks.start]
+            np.divide(self.Q[ks], -self.spec.nu, out=w[:, 1:-1])
+            yield ks, w
+
+    def source(self, out: np.ndarray) -> None:
+        """The control's share of the state source, tau_k times the loads of
+        slab k, written into out.  The loads of a block of slabs are formed
+        in arrays of their own, so that only the last product writes to out,
+        a column view of the group's march buffer."""
+        lo, hi, widths = self.spec.u_lo, self.spec.u_hi, self.tgrid.widths
+        for ks, w in self.control_blocks():
+            load, t = np.empty((2, len(w), self.xgrid.num_interior))
+            _loads(self.xgrid, w, lo, hi, load, t)
+            np.multiply(load, widths[ks, None], out=out[ks])
+
+    def take(self, P: np.ndarray, Z: np.ndarray, mu: np.ndarray, iterations: int) -> None:
+        """Take the co-state P of iteration `iterations`, the grid's columns
+        of the group's adjoint buffer; Z and mu are its columns of the state
+        march (mu Y^) and of the mass eigenvalues.  Once r < TOL keep (U, Y,
+        P, CostReport) and zero Z, which the marches then keep; otherwise
+        raise on a stall, or move Q and keep P in X."""
+        spec, Q, X = self.spec, self.Q, self.X
+        # ||P - P_prev|| while X still holds P_prev, then P - Q into X
+        change = float(np.linalg.norm(np.subtract(P, X, out=X))) if iterations > 1 else math.nan
+        self.increment = increment = float(np.linalg.norm(np.subtract(P, Q, out=X))) / spec.nu
         if increment < TOL:
-            self.Q = self.P_prev = None  # spent: the cost's temporaries take their memory
-            Yhat = np.divide(Z, mu, out=step)
-            tracking = _tracking(tgrid.widths, np.einsum("ki,ki->k", Yhat, Z),
-                                 Yhat @ self.yd_hat, spec.yd.l2_norm_sq())
-            penalty = 0.5 * spec.nu * self.U.norm_l2l2_sq()
-            Y = SpaceTimeField(tgrid, xgrid, sine_transform(Yhat))
-            self.result = (self.U, Y, SpaceTimeField(tgrid, xgrid, P), CostReport(
-                tracking, penalty, tracking + penalty, iterations, increment))
+            self.result = self._accept(P, Z, mu, iterations)
             Z[...] = 0.0
             return
         self.best, self.since_best = ((increment, 0) if increment < self.best
                                       else (self.best, self.since_best + 1))
         if self.since_best == STALL:
             raise self.diverged(iterations, stalled=True)
-        if self.P_prev is not None:  # P_prev is spent: it becomes P below
-            self.lipschitz = (float(np.linalg.norm(np.subtract(P, self.P_prev, out=self.P_prev)))
-                              / self.moved)
+        if iterations > 1:
+            self.lipschitz = change / self.moved
             self.theta = 2.0 / (2.0 + self.lipschitz)
-        self.Q += np.multiply(step, self.theta, out=step)
+        Q += np.multiply(X, self.theta, out=X)
         self.moved = self.theta * spec.nu * increment
-        self.P_prev = P
+        np.copyto(X, P)
+
+    def _accept(self, P: np.ndarray, Z: np.ndarray, mu: np.ndarray, iterations: int) -> tuple:
+        """(U, Y, P, CostReport) of the accepted iteration.  The penalty is
+        taken block by block, before U = clamp(-Q/nu) is formed whole; then
+        Y is built in Q and P copied into X, both spent by now.  The cost
+        tracks as sum_k tau_k (Y^_k.Z_k - 2 Y^_k.yd^ + ||yd||^2)."""
+        spec, tgrid, xgrid = self.spec, self.tgrid, self.xgrid
+        penalty = 0.5 * spec.nu * _norm_sq(tgrid.widths, xgrid.h, spec.u_lo, spec.u_hi,
+                                           self.control_blocks())
+        U = project_admissible(SpaceTimeField(tgrid, xgrid, self.Q), spec.nu, spec.u_lo, spec.u_hi)
+        Yhat = np.divide(Z, mu, out=self.Q)
+        tracking = _tracking(tgrid.widths, np.einsum("ki,ki->k", Yhat, Z),
+                             Yhat @ self.yd_hat, spec.yd.l2_norm_sq())
+        Y = SpaceTimeField(tgrid, xgrid, sine_transform(Yhat, overwrite=True))
+        np.copyto(self.X, P)
+        return (U, Y, SpaceTimeField(tgrid, xgrid, self.X),
+                CostReport(tracking, penalty, tracking + penalty, iterations, self.increment))
 
     def diverged(self, iterations: int, stalled: bool) -> FixedPointDiverged:
         return FixedPointDiverged(self.xgrid.n, iterations, self.increment, self.best,
                                   self.lipschitz, self.theta, stalled)
+
+
+def _reverse_rows(A: np.ndarray, buf: np.ndarray) -> None:
+    """Reverse the rows of A in place, swapping len(buf) rows from each end
+    at a time through buf."""
+    K, half = A.shape[0], A.shape[0] // 2
+    for i0 in range(0, half, buf.shape[0]):
+        i1 = min(i0 + buf.shape[0], half)
+        b = buf[:i1 - i0]
+        np.copyto(b, A[i0:i1])
+        A[i0:i1] = A[K - i1:K - i0][::-1]
+        A[K - i1:K - i0] = b[::-1]
 
 
 def fixed_point_solves(spec: ProblemSpec, tgrid: TemporalGrid,
@@ -332,10 +422,18 @@ def fixed_point_solves(spec: ProblemSpec, tgrid: TemporalGrid,
     their coefficients sit side by side in one array: an iteration takes
     one forward and one adjoint march for all of them, and per grid two
     transforms, of the control loads and of P.  A grid's accepted iteration
-    alone takes the cost, tracking as
-    sum_k tau_k (Y^_k.Z_k - 2 Y^_k.yd^ + ||yd||^2), and returns Y to nodes;
-    its columns then hold zeros, which the marches keep, until the last
-    grid stops.
+    alone takes the cost and returns Y to nodes; its columns then hold
+    zeros, which the marches keep, until the last grid stops.
+
+    The arrays of a field's size are made once per solve and reused by
+    every iteration: per grid the iterate Q and X, which holds the previous
+    P and then P - Q (see `_GridSolve`); for the group the march buffers Z
+    and W.  The control's source is written into the grid's columns of Z a
+    block of slabs at a time; the adjoint marches in W and is turned back
+    into time order there; every sine transform overwrites the columns it
+    reads.  So an iteration allocates no field.  The accepted iteration adds the control's nodal
+    values w, and builds Y in Q and P in X: a solo solve peaks at five
+    fields beside the march plan.
 
     Returns the (U, Y, P, CostReport) of each grid's accepted iteration, in
     the order of xgrids.
@@ -363,26 +461,25 @@ def fixed_point_solves(spec: ProblemSpec, tgrid: TemporalGrid,
                                 sine_transform(load_descriptor(xg, spec.y0)), yd_hat[cols],
                                 np.full((tgrid.num_slabs, xg.num_interior), -spec.nu * u_init)))
 
-    Z = np.empty((tgrid.num_slabs, mu.size))  # the sources, then mu Y^
+    Z, W = np.empty((2, tgrid.num_slabs, mu.size))  # mu Y^ and the co-state march
+    rows = np.empty((PANEL, mu.size))  # W's rows on their way back to time order
     for iterations in range(1, MAX_ITER + 1):
         live = [g for g in grids if g.result is None]
         for g in live:
-            g.U = project_admissible(SpaceTimeField(tgrid, g.xgrid, g.Q),
-                                     spec.nu, spec.u_lo, spec.u_hi)
-            Z[:, g.cols] = sine_transform(state_source(g.U, None, moments).values,
-                                          overwrite=True)
-        # made after the loads, so that it never sits beside their temporaries
-        work = np.empty_like(Z)  # the y0 forcing, the co-state march, then P - Q
-        for g in live:
-            Z[:, g.cols] += np.multiply.outer(moments.values, g.y0_hat, out=work[:, g.cols])
+            z = Z[:, g.cols]
+            g.source(z)
+            sine_transform(z, overwrite=True)
+            z += np.multiply.outer(moments.values, g.y0_hat, out=W[:, g.cols])
         march(plan, Z)
-        np.subtract(Z[::-1], yd_hat, out=work)  # the co-state marches on reversed time
-        work *= widths[::-1, None]
-        march(plan, work, adjoint=True)
+        np.subtract(Z[::-1], yd_hat, out=W)  # the co-state marches on reversed time
+        W *= widths[::-1, None]
+        march(plan, W, adjoint=True)
+        _reverse_rows(W, rows)
         for g in live:
-            P = sine_transform(np.divide(work[::-1, g.cols], mu[g.cols]), overwrite=True)
-            g.take(P, work[:, g.cols], Z[:, g.cols], mu[g.cols], iterations)
-        del work  # freed before the next iteration's loads
+            P = W[:, g.cols]
+            P /= mu[g.cols]
+            sine_transform(P, overwrite=True)
+            g.take(P, Z[:, g.cols], mu[g.cols], iterations)
         if all(g.result is not None for g in grids):
             return [g.result for g in grids]
     raise next(g for g in grids if g.result is None).diverged(MAX_ITER, stalled=False)

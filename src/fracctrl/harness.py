@@ -168,9 +168,10 @@ def error_l2l2(A, B) -> float:
         d = _interp_clip(*ra, slice(None), X) - _interp_clip(*rb, slice(None), X)
         terms = _piece_terms(X, d)
         g = slice(*np.searchsorted(i, (k0, k0 + PANEL)))
-        rows, x = i[g] - k0, pts[g]
-        d = _interp_clip(*ra, rows[:, None], x) - _interp_clip(*rb, rows[:, None], x)
-        terms[rows, j[g]] = _piece_terms(x, d).sum(axis=1)
+        if g.start < g.stop:  # never for two states, which hold no cut
+            rows, x = i[g] - k0, pts[g]
+            d = _interp_clip(*ra, rows[:, None], x) - _interp_clip(*rb, rows[:, None], x)
+            terms[rows, j[g]] = _piece_terms(x, d).sum(axis=1)
         total += float(widths[ks] @ terms.sum(axis=1))
     return math.sqrt(max(0.0, total / 3.0))
 

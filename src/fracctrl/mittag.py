@@ -58,7 +58,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 __all__ = [
@@ -149,7 +148,11 @@ def _asymptotic(beta: float, gamma_: float, z: float) -> tuple[float, float]:
 
 def _past_peak_arg(beta: float, z: float) -> float:
     """Terms grow while |z| / (k b + g)^b > 1, i.e. until the gamma
-    argument passes |z|^(1/b)."""
+    argument passes |z|^(1/b).  Refuses when that takes more than
+    _MAX_TERMS terms, which no sum here would reach."""
+    if z != 0.0 and math.log(abs(z)) > beta * math.log(_MAX_TERMS * beta):
+        raise MlAccuracyError(f"the series of E_beta at beta={beta}, z={z} peaks beyond "
+                              f"{_MAX_TERMS} terms")
     return abs(z) ** (1.0 / beta) + 2.0
 
 
@@ -220,6 +223,7 @@ def _series_mp(beta: float, gamma_: float, z: float, dps: int) -> float:
     frac = Fraction(beta).limit_denominator(64)
     if float(frac) == float(beta) and frac.numerator >= 1:
         return _series_lanes(frac.numerator, frac.denominator, beta, gamma_, z, dps)
+    import mpmath  # here, so that only the extended-precision sums load it
     thr = _past_peak_arg(beta, z)
     with mpmath.workdps(dps):
         zz = mpmath.mpf(z)
@@ -258,6 +262,7 @@ def _series_lanes(p: int, q: int, beta: float, gamma_: float, z: float, dps: int
     the accuracy a ``dps``-digit sum would give it relative to the peak.
     Stops past the peak once every lane term is below 10^-(dps+5) of the sum
     (a zero sum waits for every term to be zero)."""
+    import mpmath
     thr = _past_peak_arg(beta, z)
     g, zf = Fraction(gamma_), Fraction(z)
     den_a = q * g.denominator                         # a_l = A_l / den_a

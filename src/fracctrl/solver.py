@@ -35,7 +35,9 @@ at the nodes.  Only the scales depend on the sine modes, and each mode
 marches on its own, so one plan and one march serve the modes of several
 spatial grids side by side.  Beyond the fields, a march keeps
 O((Q + PANEL) n) and the plan O(K (n + PANEL + Q)); work is
-O(K (Q + PANEL) n).
+O(K (Q + PANEL) n).  A fixed-point solve (`control.fixed_point_solves`)
+makes its fields once and marches in them: it peaks at the plan and five
+fields of K (n - 1) values, 0.94 GB peak RSS at m=14, n=512.
 """
 
 from __future__ import annotations

@@ -168,3 +168,14 @@ def test_reference_flag_on_the_other_axis_rejected(axis, flag, capsys):
     rc = main(["study", axis, "--alpha", "0.7", *rows, flag, "99"])
     assert rc == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["ocp", "--m", "0"], ["ocp", "--m", "-1"],
+                                  ["forward", "--m", "0"], ["study", "temporal", "--m", "0,3"],
+                                  ["study", "spatial", "--m", "0", "--n", "4,8"]])
+def test_temporal_level_below_one_names_the_flag(argv, capsys):
+    # M = 2^m: m = 0 gives M = 1 and m = -1 gives 0.5, which the grid builder
+    # refuses as M, a name the user never typed
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--m must be at least 1" in err and "M must" not in err

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from fracctrl.mesh import build_graded, build_uniform_spatial, default_sigmas
 from fracctrl.problem import (ProblemSpec, SineCombo, TimeConstant, Zero,
                               default_experiment_spec)
 from fracctrl.solver import (SpaceTimeField, adjoint_source, apply_adjoint,
-                             apply_forward, state_source)
+                             apply_forward, march_plan, state_source)
 
 
 def small_instance(alpha=0.8, r=0.0, m=5, n=16):
@@ -425,6 +426,29 @@ def test_group_solve_needs_a_grid():
     spec, tg, _ = small_instance(m=4, n=8)
     with pytest.raises(ValueError, match="xgrids"):
         fixed_point_solves(spec, tg, [])
+
+
+def test_fixed_point_peaks_at_five_fields_beside_the_plan():
+    # a field (2^11 slabs, 127 interior nodes) takes 2 MB.  Q, the previous
+    # P, the two march buffers and the accepted control's w are five; the
+    # iterations allocate none, and their per-block temporaries stay under
+    # half a field
+    spec, tg, xg = small_instance(m=10, n=128)
+    tracemalloc.start()
+    try:
+        U, Y, P, report = fixed_point_solve(spec, tg, xg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.final_increment < TOL
+    plan = march_plan(assemble_coupling(tg, spec.alpha), assemble_mass(xg).eigenvalues(),
+                      assemble_stiffness(xg).eigenvalues())
+    plan_bytes = plan.scale.nbytes + sum(a.nbytes for panels in (plan.forward, plan.adjoint)
+                                         for panel in panels for a in panel
+                                         if isinstance(a, np.ndarray))
+    field = Y.values.nbytes
+    assert field >= 2e6
+    assert peak <= plan_bytes + 5 * field + field // 2, (peak - plan_bytes) / field
 
 
 def test_optimality_residual_detects_perturbation():

@@ -162,6 +162,17 @@ def test_eigenvalues_diagonalise_the_stencil():
                                rtol=0.0, atol=1e-14 * scale)
 
 
+def test_sine_transform_overwrites_a_column_view_bit_for_bit(rng):
+    # the fixed point transforms each grid's columns of its march buffers
+    # in place: the view must receive exactly the out-of-place transform
+    A = rng.standard_normal((300, 40))
+    for cols in (slice(0, 40), slice(5, 30)):
+        want = sine_transform(A[:, cols].copy())
+        view = A[:, cols]
+        sine_transform(view, overwrite=True)
+        assert np.array_equal(view, want)
+
+
 def test_apply_rejects_the_wrong_size():
     with pytest.raises(ValueError, match="size 7"):
         assemble_mass(build_uniform_spatial(8)).apply(np.ones((2, 6)))

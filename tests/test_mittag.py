@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 
 import mpmath
@@ -121,12 +122,12 @@ def test_quadrature_against_certified_oracles():
 
 
 def test_quadrature_runs_without_extended_precision(monkeypatch):
-    # inside its domain ml neither sums the series nor touches mpmath
+    # inside its domain ml neither sums the series nor imports mpmath
     def refuse(*args):
         raise AssertionError("certified path taken")
 
     monkeypatch.setattr(mittag, "_ml_certified", refuse)
-    monkeypatch.setattr(mittag, "mpmath", None)
+    monkeypatch.setitem(sys.modules, "mpmath", None)  # an import of it raises
     zs = -np.logspace(-20.0, 3.0, 24)
     for beta in (0.3, 0.5, 0.95):
         for gam in (1.0, 1.0 + beta):
@@ -265,6 +266,14 @@ def test_precision_cap_on_lane_path():
     # peak term ~10^23000: the certified series refuses instead of summing
     with pytest.raises(MlAccuracyError):
         _series_certified(0.5, 1.0, -230.0)
+
+
+def test_tiny_order_refuses_at_once():
+    # |z|^(1/beta) = 2^2000 overflows a double, and the terms would grow for
+    # 2^2000 / beta of them: the series refuses before it sums any
+    for beta in (0.0005, 0.001):
+        with pytest.raises(MlAccuracyError, match=f"beta={beta}, z=-2.0"):
+            ml(beta, 1.0, -2.0)
 
 
 def test_deep_asymptotic_region():
