@@ -4,8 +4,8 @@ a uniform temporal study for each (alpha, r) in {0.4, 0.8} x {0, 0.25}.
 
 Desk scale by default (self-convergence references m=9/n=256 spatially and
 m=12/n=128 temporally); pass --paper-scale for the full m=14 / n=512
-references, which took 205.5 s of wall time and 2651 MB of peak RSS on a
-2-vCPU machine.  Tables land in --outdir as CSV plus a text rendering on
+references, which took 190.1 s of wall time (288.6 s of CPU time) and
+2179 MB of peak RSS on a 2-vCPU machine.  Tables land in --outdir as CSV plus a text rendering on
 stdout; each table's header line gives its wall time and the process's
 peak RSS so far (ru_maxrss).
 """

@@ -17,7 +17,7 @@ from .control import ControlField, _cut_abscissae, _interp_clip, fixed_point_sol
 from .fem import assemble_mass, assemble_stiffness, load_descriptor
 from .fracops import assemble_coupling, source_moments
 from .mesh import build_graded, build_uniform_spatial, grading_exponents, merge_breakpoints
-from .mittag import SpectralSolution, spectral_state
+from .mittag import SpectralSolution, _mode_sum, _time_factors
 from .problem import ProblemSpec, SineCombo, default_experiment_spec
 from .solver import PANEL, SourceTerm, apply_forward
 
@@ -366,12 +366,14 @@ def forward_single_mode_error(alpha: float, m: int, n: int, r: float = 0.0,
     a_, b_ = tgrid.nodes[:-1, None], tgrid.nodes[1:, None]
     pts = 0.5 * (a_ + b_) + 0.5 * (b_ - a_) * _GAUSS4_X
     wts = 0.5 * (b_ - a_) * _GAUSS4_W
-    # all Gauss times of a panel of slabs at once; d M d from the mass
-    # stencil without forming M d, so the temporaries stay at 4 PANEL n
+    # the time factors of every Gauss time at once, then the exact values
+    # of a panel of slabs at a time; d M d from the mass stencil without
+    # forming M d, so the temporaries stay at 4 PANEL n
+    modes, amps = _time_factors(sol, pts)
     total = 0.0
     for k0 in range(0, tgrid.num_slabs, PANEL):
         ks = slice(k0, k0 + PANEL)
-        d = spectral_state(sol, pts[ks], xgrid.interior)
+        d = _mode_sum(modes, amps[:, ks], xgrid.interior)
         d = np.subtract(Y.values[ks, None, :], d, out=d).reshape(-1, n - 1)
         w = wts[ks].ravel()
         total += float(mass.diag * np.einsum("k,ki,ki->", w, d, d)

@@ -107,9 +107,9 @@ def validate(spec: ProblemSpec) -> list[str]:
     bad: list[str] = []
     if not (isinstance(spec.alpha, float) and 0.0 < spec.alpha < 1.0):
         bad.append("alpha")
-    if not spec.nu > 0.0:
+    if not 0.0 < spec.nu < math.inf:
         bad.append("nu")
-    if not spec.T > 0.0:
+    if not 0.0 < spec.T < math.inf:
         bad.append("T")
     if not spec.u_lo < spec.u_hi:
         bad.append("bounds")
@@ -191,8 +191,10 @@ def _parse_descriptor(kv: dict, prefix: str, time_constant: bool) -> FunctionDes
 
 def from_config_text(text: str) -> ProblemSpec:
     """Parse the `key = value` format written by to_config_text.  A key
-    that is missing, unknown or not a number is named in the error."""
+    that is missing, repeated, unknown, not a number or out of range
+    (`validate`) is named in the error."""
     kv: dict[str, str] = {}
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -200,12 +202,17 @@ def from_config_text(text: str) -> ProblemSpec:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected `key = value`, got {raw!r}")
         key, _, value = line.partition("=")
-        kv[key.strip()] = value.strip()
+        key = key.strip()
+        if key in seen:
+            raise ValueError(f"config key {key!r} is set twice, on lines {seen[key]} and {lineno}")
+        seen[key] = lineno
+        kv[key] = value.strip()
     scalars = [_pop_number(kv, key) for key in ("alpha", "nu", "T", "u_lo", "u_hi", "r")]
     spec = ProblemSpec(*scalars, y0=_parse_descriptor(kv, "y0", time_constant=False),
                        yd=_parse_descriptor(kv, "yd", time_constant=True))
     if kv:
         raise ValueError(f"unknown config key {', '.join(map(repr, kv))}")
-    if not math.isfinite(spec.alpha):
-        raise ValueError("alpha must be finite")
+    bad = validate(spec)
+    if bad:
+        raise ValueError(f"config value out of range for {', '.join(bad)}")
     return spec

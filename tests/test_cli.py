@@ -37,6 +37,16 @@ def test_ocp_with_config_file(tmp_path, capsys):
     assert "optimality residual" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("key", ["nu", "T"])
+def test_ocp_config_names_a_non_finite_key(key, tmp_path, capsys):
+    cfg = tmp_path / "instance.cfg"
+    text = to_config_text(default_experiment_spec(0.8, 0.0))
+    cfg.write_text(text.replace(f"{key} = 1.0", f"{key} = inf"))
+    rc = main(["ocp", "--m", "3", "--n", "8", "--config", str(cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: config value out of range for {key}\n"
+
+
 @pytest.mark.parametrize("flag", ["--alpha", "--r"])
 def test_ocp_config_rejects_a_problem_flag(flag, tmp_path, capsys):
     # the file sets alpha and r: a flag for either would be ignored

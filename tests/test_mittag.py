@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from scipy.special import erfc, erfcx
 
-from fracctrl import mittag
+from fracctrl import harness, mittag
 from fracctrl.harness import forward_single_mode_error
+from fracctrl.mesh import build_graded, build_uniform_spatial, grading_exponents
 from fracctrl.mittag import (_MAX_DPS, MlAccuracyError, SpectralSolution, _asymptotic,
                              _series_certified, _series_mp, _series_peak_log10,
                              crossover_z0, ml, spectral_state)
+from fracctrl.solver import PANEL
 
 
 def mp_series_oracle(beta, gamma_, z, dps=50):
@@ -143,6 +145,55 @@ def test_array_input_matches_scalar_calls_bitwise():
             assert got.tolist() == [ml(beta, gam, z) for z in zs]
             grid = ml(beta, gam, zs[:90].reshape(9, 10))
             assert grid.tolist() == got[:90].reshape(9, 10).tolist()
+
+
+def per_node_ml(beta, gam, zs):
+    """The quadrature of `ml` summed one z at a time, with every (z, node)
+    pair forming its own y = j eta and density, as it was before the
+    lattice tables."""
+    eta, sigma, norm = mittag._quadrature(beta, gam)
+    out = []
+    for z in zs.tolist():
+        x = np.maximum(np.array([-z]), mittag._X_FLOOR)
+        m, e = np.frexp(x)
+        lx_hi, lx_lo = e * mittag._LN2_HI, e * mittag._LN2_LO + np.log(m)
+        lo, hi = mittag._windows(beta, gam == 1.0, lx_hi + lx_lo)
+        j0 = np.floor(lo / eta)
+        q = mittag._ROW_QUANTUM
+        w = int((np.ceil(hi / eta) - j0 + q).astype(np.int64)[0]) // q * q
+        y = (j0[:, None] + np.arange(w)) * eta
+        with np.errstate(over="ignore"):
+            rs = np.exp((y + lx_hi[:, None] + lx_lo[:, None]) / beta)
+        k = np.exp(-rs) if gam == 1.0 else -np.expm1(-rs)
+        v = (k * mittag._density(y, sigma)).sum(axis=1) / norm
+        out.append(1.0 / math.gamma(gam) if z == 0.0 else (v if gam == 1.0 else v / x)[0])
+    return np.array(out)
+
+
+def test_lattice_tables_keep_the_per_node_bits():
+    rng = np.random.default_rng(24)
+    zs = np.concatenate([-np.logspace(-20.0, 3.0, 93), [0.0, -1e-300, -1e300],
+                         -10.0 ** rng.uniform(-300.0, 300.0, 400)])
+    for beta in (0.3, 0.5, 0.8, 0.95):
+        for gam in (1.0, 1.0 + beta):
+            assert np.array_equal(ml(beta, gam, zs), per_node_ml(beta, gam, zs)), (beta, gam)
+
+
+@pytest.mark.parametrize("flavor", ["homogeneous", "constant_source"])
+def test_level_time_factors_give_each_panel_bit_for_bit(flavor):
+    # the forward oracle forms the time factors of a whole level once and
+    # its exact values a panel of slabs at a time
+    sol = SpectralSolution.from_sine_combo(((1, 1.0), (3, 0.5)), 0.5, flavor)
+    nodes = build_graded(2 ** 8, *grading_exponents(0.5, 0.0), 1.0).nodes
+    a, b = nodes[:-1, None], nodes[1:, None]
+    pts = 0.5 * (a + b) + 0.5 * (b - a) * harness._GAUSS4_X
+    x = build_uniform_spatial(64).interior
+    modes, amps = mittag._time_factors(sol, pts)
+    assert modes == [1, 3] and amps.shape == (2, *pts.shape)
+    for k0 in range(0, pts.shape[0], PANEL):
+        ks = slice(k0, k0 + PANEL)
+        assert np.array_equal(mittag._mode_sum(modes, amps[:, ks], x),
+                              spectral_state(sol, pts[ks], x))
 
 
 def test_double_series_certifies_its_target():

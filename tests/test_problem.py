@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -119,3 +120,16 @@ def test_config_malformed_line():
         from_config_text(text.replace("nu = 1.0", "nu = one"))
     with pytest.raises(ValueError, match="unknown config key 'sigma1'"):
         from_config_text(text + "sigma1 = 2\n")
+
+
+def test_config_repeated_key_is_named_with_both_lines():
+    text = to_config_text(default_experiment_spec(0.5, 0.0))
+    with pytest.raises(ValueError, match=r"'alpha' is set twice, on lines 1 and 15"):
+        from_config_text(text + "\n\nalpha = 0.8\n")
+
+
+@pytest.mark.parametrize("key", ["nu", "T"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
+def test_validate_flags_a_non_finite_weight_or_horizon(key, value):
+    spec = dataclasses.replace(default_experiment_spec(0.5, 0.0), **{key: value})
+    assert validate(spec) == [key]
