@@ -14,7 +14,7 @@ from .fracops import (KernelMoments, OracleToleranceError,
                       half_derivative_oracle, source_moments)
 from .harness import (ConvergenceTable, ExperimentConfig, emit_table,
                       error_l2l2, estimate_order, forward_single_mode_error,
-                      run_spatial_study, run_temporal_study)
+                      run_spatial_study, run_studies, run_temporal_study)
 from .mesh import (SpatialGrid, TemporalGrid, build_graded,
                    build_uniform_spatial, default_sigmas, merge_breakpoints)
 from .mittag import MlAccuracyError, SpectralSolution, crossover_z0, ml, spectral_state

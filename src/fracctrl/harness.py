@@ -28,11 +28,11 @@ __all__ = [
     "estimate_order",
     "run_spatial_study",
     "run_temporal_study",
+    "run_studies",
     "emit_table",
     "render_table",
     "read_table_csv",
     "forward_single_mode_error",
-    "clear_solve_cache",
 ]
 
 # desk-scale defaults; the paper-scale reference (m=14, n=512) is available
@@ -67,6 +67,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown study kind {self.kind!r}")
         if self.grading not in ("graded", "uniform"):
             raise ValueError(f"unknown grading mode {self.grading!r}")
+        if self.kind == "spatial-study" and self.grading != "graded":
+            raise ValueError("spatial studies run on graded temporal grids")
         if not self.points:
             raise ValueError("points: a study needs at least one run point")
         for name in ("fixed", "reference"):
@@ -178,19 +180,10 @@ def error_l2l2(A, B) -> float:
 
 # -- study machinery ---------------------------------------------------------
 
-_solve_cache: dict = {}
-# bytes of the cached (U, Y, P) arrays: a paper-scale triple (m=14, n=512)
-# takes 0.40 GB, so its reference stays cached beside a study's row solves
-_SOLVE_CACHE_BYTES = 2 ** 30
-
-
-def _triple_bytes(triple) -> int:
-    U, Y, P = triple
-    return U.w.nbytes + Y.values.nbytes + P.values.nbytes
-
-
 def clear_solve_cache() -> None:
-    _solve_cache.clear()
+    """Does nothing: no solve outlives a `run_studies` call.  Kept only for
+    the benchmark's `study-spatial` operation, which calls it; ROADMAP
+    item 8 drops that call and then this stub."""
 
 
 def _sigmas(cfg: ExperimentConfig, reference: bool = False) -> tuple[float, float]:
@@ -201,35 +194,27 @@ def _sigmas(cfg: ExperimentConfig, reference: bool = False) -> tuple[float, floa
     return grading_exponents(cfg.alpha, cfg.r, cfg.sigma1, cfg.sigma2)
 
 
-def _solve_points(spec: ProblemSpec, cfg: ExperimentConfig, points) -> list:
+def _solve_points(spec: ProblemSpec, cfg: ExperimentConfig, points, solved: dict) -> list:
     """(U, Y, P) on the grids that each (m, n, reference) of points and the
-    grading of cfg build, through a least-recently-used cache keyed on
-    those grids and the problem's parameters, so that a spatial and a
-    temporal reference on the same grids share one solve.  The points the
-    cache misses that share a temporal grid solve together in one
-    `fixed_point_solves` call.  The cache holds at most _SOLVE_CACHE_BYTES
-    of arrays; each new triple evicts the least recently used ones until it
-    fits, and is kept even when it alone is larger."""
-    keys, found, groups = [], {}, {}  # groups: temporal grid -> (its grid, {key: xgrid})
+    grading of cfg build.  `solved` maps a key of those grids and the
+    problem's parameters to its triple; the points it lacks that share a
+    temporal grid solve together in one `fixed_point_solves` call and are
+    added to it."""
+    keys, groups = [], {}  # groups: temporal grid -> (its grid, {key: xgrid})
     for m, n, reference in points:
         tgrid, xgrid = build_graded(2 ** m, *_sigmas(cfg, reference), 1.0), build_uniform_spatial(n)
         key = (cfg.alpha, cfg.r, tgrid.M, tgrid.sigma1, tgrid.sigma2, xgrid.n)
         keys.append(key)
-        if key in _solve_cache:  # a hit moves to the most recently used end
-            found[key] = _solve_cache[key] = _solve_cache.pop(key)
-        else:
+        if key not in solved:
             groups.setdefault(key[2:5], (tgrid, {}))[1][key] = xgrid
     for tgrid, xgrids in groups.values():
         solves = fixed_point_solves(spec, tgrid, list(xgrids.values()))
         for key, (U, Y, P, _) in zip(xgrids, solves):
-            held = sum(map(_triple_bytes, _solve_cache.values()))
-            while _solve_cache and held + _triple_bytes((U, Y, P)) > _SOLVE_CACHE_BYTES:
-                held -= _triple_bytes(_solve_cache.pop(next(iter(_solve_cache))))
-            found[key] = _solve_cache[key] = (U, Y, P)
-    return [found[key] for key in keys]
+            solved[key] = (U, Y, P)
+    return [solved[key] for key in keys]
 
 
-def _study_rows(cfg: ExperimentConfig) -> ConvergenceTable:
+def _study_rows(cfg: ExperimentConfig, solved: dict) -> ConvergenceTable:
     """Errors of each run point against the reference, and the orders
     between consecutive rows.  A point p solves at (m, n) = (fixed, p) on
     a spatial study, labelled n, and at (p, fixed) on a temporal one,
@@ -243,7 +228,7 @@ def _study_rows(cfg: ExperimentConfig) -> ConvergenceTable:
         return (cfg.fixed, p, reference) if spatial else (p, cfg.fixed, reference)
 
     (Ur, Yr, Pr), *solves = _solve_points(
-        spec, cfg, [grids(cfg.reference, reference=True)] + [grids(p) for p in cfg.points])
+        spec, cfg, [grids(cfg.reference, reference=True)] + [grids(p) for p in cfg.points], solved)
     rows = []
     for p, (U, Y, P) in zip(cfg.points, solves):
         param = p if spatial else 2 ** p
@@ -261,15 +246,22 @@ def _study_rows(cfg: ExperimentConfig) -> ConvergenceTable:
     return ConvergenceTable(rows=rows, metadata=meta)
 
 
+def run_studies(cfgs) -> list[ConvergenceTable]:
+    """The table of each study of cfgs, run in order.  A grid that several
+    studies solve on, such as the reference that the three studies of one
+    (alpha, r) share at paper scale, is solved once; no solve outlives the
+    call."""
+    solved: dict = {}
+    return [_study_rows(cfg, solved) for cfg in cfgs]
+
+
 def run_spatial_study(cfg: ExperimentConfig) -> ConvergenceTable:
     """Refine the spatial grid at a frozen temporal grid: rows n = points at
     m = fixed, errors against n = reference, orders per consecutive cell
     counts."""
     if cfg.kind != "spatial-study":
         raise ValueError(f"config kind {cfg.kind!r} is not a spatial study")
-    if cfg.grading != "graded":
-        raise ValueError("spatial studies run on graded temporal grids")
-    return _study_rows(cfg)
+    return run_studies([cfg])[0]
 
 
 def run_temporal_study(cfg: ExperimentConfig) -> ConvergenceTable:
@@ -277,7 +269,7 @@ def run_temporal_study(cfg: ExperimentConfig) -> ConvergenceTable:
     n = fixed, errors against m = reference, orders per doubling of M."""
     if cfg.kind != "temporal-study":
         raise ValueError(f"config kind {cfg.kind!r} is not a temporal study")
-    return _study_rows(cfg)
+    return run_studies([cfg])[0]
 
 
 # -- table output ------------------------------------------------------------

